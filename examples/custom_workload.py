@@ -23,7 +23,6 @@ from repro.cpu.tracefile import load_trace_file, save_trace_file
 from repro.crypto.rng import HardwareRng
 from repro.experiments import SCHEMES, apply_preseed, make_controller
 from repro.experiments.config import TABLE1_256K
-from repro.memory.hierarchy import MemoryHierarchy
 from repro.workloads.synthetic import (
     HotStream,
     StaticStream,
@@ -77,7 +76,7 @@ def main() -> None:
     print("\ncollecting the miss stream once, replaying every scheme:")
     miss_trace = collect_miss_trace(
         trace,
-        hierarchy=MemoryHierarchy(TABLE1_256K.hierarchy),
+        hierarchy_config=TABLE1_256K.hierarchy,
         flush_interval_instructions=TABLE1_256K.flush_interval_instructions,
     )
     print(f"  {miss_trace.l2_misses} L2 misses "

@@ -58,7 +58,6 @@ from repro.experiments.runner import SCHEMES, make_controller, run_cell
 from repro.faults.campaign import DEFAULT_RATES, FaultCampaign
 from repro.faults.injector import FaultType
 from repro.ioutil import atomic_write_json
-from repro.memory.hierarchy import MemoryHierarchy
 from repro.secure.errors import SecureMemoryError
 from repro.telemetry.events import EventTracer, merge_chrome_traces
 from repro.telemetry.profile import PROFILER
@@ -133,7 +132,7 @@ def _trace_results(args: argparse.Namespace, machine):
         trace = trace[: args.refs]
     miss_trace = collect_miss_trace(
         trace,
-        hierarchy=MemoryHierarchy(machine.hierarchy),
+        hierarchy_config=machine.hierarchy,
         flush_interval_instructions=machine.flush_interval_instructions,
     )
     results, failures = {}, []

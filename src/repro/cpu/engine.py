@@ -23,10 +23,6 @@ every scheme of every grid cell.  This module restructures that loop into
   are recovered from the compile-time prefix sums — both are folded into
   the live stat objects at epoch boundaries through the ``absorb`` batch
   entry points on the stats dataclasses.
-* ``numba`` — an optional hook for a JIT-compiled kernel.  It currently
-  delegates to the batched core (the arithmetic is already branch-light and
-  array-shaped, i.e. numba-ready) and degrades gracefully — with a one-time
-  warning — when numba is not installed.
 
 **Identity contract.**  For every supported controller the batched core is
 *bit-identical* to the reference loop: same ``RunMetrics`` (including the
@@ -54,7 +50,6 @@ variable (checked on every resolve, so workers inherit it).
 from __future__ import annotations
 
 import os
-import warnings
 import weakref
 from bisect import bisect_right
 from itertools import chain, repeat
@@ -84,7 +79,6 @@ __all__ = [
     "ReplayBackend",
     "ReferenceBackend",
     "BatchedBackend",
-    "NumbaBackend",
     "BACKENDS",
     "register_backend",
     "available_backends",
@@ -1412,49 +1406,6 @@ class BatchedBackend(ReplayBackend):
         )
 
 
-class NumbaBackend(BatchedBackend):
-    """Hook for a JIT-compiled kernel; delegates to the batched core.
-
-    The batched core's inner loop is already branch-light arithmetic over
-    primitive locals and flat columns — the shape a numba kernel wants.
-    Until such a kernel lands, this backend runs the batched core; when
-    numba is not importable it does the same after warning once, so
-    selecting ``numba`` never breaks a run.
-    """
-
-    name = "numba"
-    _warned = False
-
-    def available(self) -> bool:
-        try:
-            import numba  # noqa: F401
-        except ImportError:
-            return False
-        return True
-
-    def replay(
-        self,
-        miss_trace,
-        controller,
-        core: CoreConfig | None = None,
-        scheme: str = "unnamed",
-        on_fetch=None,
-        hook_interval: int = 0,
-    ) -> RunMetrics:
-        if not self.available() and not NumbaBackend._warned:
-            NumbaBackend._warned = True
-            warnings.warn(
-                "numba is not installed; the numba replay backend is "
-                "running the pure-Python batched core instead",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return super().replay(
-            miss_trace, controller, core=core, scheme=scheme,
-            on_fetch=on_fetch, hook_interval=hook_interval,
-        )
-
-
 BACKENDS: dict[str, ReplayBackend] = {}
 
 
@@ -1466,7 +1417,6 @@ def register_backend(backend: ReplayBackend) -> ReplayBackend:
 
 register_backend(ReferenceBackend())
 register_backend(BatchedBackend())
-register_backend(NumbaBackend())
 
 
 def available_backends() -> list[str]:

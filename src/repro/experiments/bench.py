@@ -613,12 +613,19 @@ def check_regression(current: dict, baseline: dict, tolerance: float = 0.2) -> l
             "reference replay"
         )
     # Parallel execution must beat the serial loop wherever it can — i.e.
-    # on any multi-CPU box (a 1-CPU runner degrades to the serial path,
-    # where the ratio is meaningless).  This is an invariant of the
+    # on any multi-CPU box, for a report whose parallel pass really ran
+    # more than one worker (a 1-CPU runner or a ``--jobs 1`` report runs
+    # the serial loop again, where the ratio is meaningless).  A report
+    # that does not record its jobs is gated.  This is an invariant of the
     # current report, independent of the baseline.
     cpus = (current.get("environment") or {}).get("cpus")
+    jobs = grid.get("jobs")
     parallel_speedup = grid.get("parallel_speedup")
-    if cpus and cpus > 1 and parallel_speedup is not None:
+    if (
+        cpus and cpus > 1
+        and (jobs is None or jobs > 1)
+        and parallel_speedup is not None
+    ):
         if parallel_speedup <= 1.0:
             violations.append(
                 f"grid.parallel_speedup: {parallel_speedup:.2f} <= 1.00 on a "

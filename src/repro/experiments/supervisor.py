@@ -56,7 +56,7 @@ from repro.experiments.runner import (
     run_cell,
     run_cell_isolated,
 )
-from repro.telemetry.fleet import current_trace_context
+from repro.telemetry.fleet import adopt_trace_context, current_trace_context
 from repro.telemetry.log import get_logger
 
 __all__ = [
@@ -472,8 +472,13 @@ def _corrupt_own_entry(task: _CellTask) -> None:
         path.write_bytes(data[: max(1, len(data) // 2)])
 
 
-def _cell_worker(conn, task: _CellTask) -> None:
-    """Worker body: obey chaos, run the cell, report through the pipe."""
+def _cell_worker(conn, task: _CellTask, trace=None) -> None:
+    """Worker body: obey chaos, run the cell, report through the pipe.
+
+    ``trace`` is the forking thread's job context, adopted first so the
+    worker's own lines carry it.
+    """
+    adopt_trace_context(trace)
     try:
         action, seconds = task.chaos if task.chaos else (None, 0.0)
         if action == "kill":
@@ -561,7 +566,9 @@ class _Supervisor:
         armed = dataclasses.replace(task, chaos=chaos_action)
         parent_conn, child_conn = _MP.Pipe(duplex=False)
         process = _MP.Process(
-            target=_cell_worker, args=(child_conn, armed), daemon=True
+            target=_cell_worker,
+            args=(child_conn, armed, current_trace_context()),
+            daemon=True,
         )
         process.start()
         child_conn.close()

@@ -45,6 +45,7 @@ from repro.fabric.worker import (
     LeaseDirUnavailable,
 )
 from repro.ioutil import atomic_write_json
+from repro.telemetry.fleet import adopt_trace_context, current_trace_context
 
 __all__ = [
     "SWARM_SCHEMA",
@@ -309,10 +310,17 @@ def collect_sweep(spec: SwarmSpec, strict: bool = True):
 # -- draining ------------------------------------------------------------------
 
 
-def _drain_worker_entry(spec_payload, owner, policy, chaos, cache_dir) -> None:
-    """Subprocess body of one drain worker (fork-safe, self-contained)."""
+def _drain_worker_entry(
+    spec_payload, owner, policy, chaos, cache_dir, trace=None
+) -> None:
+    """Subprocess body of one drain worker (fork-safe, self-contained).
+
+    ``trace`` is the forking thread's job context, adopted first so the
+    worker's lines, and the cell workers it forks, carry it.
+    """
     import os
 
+    adopt_trace_context(trace)
     os.environ[result_cache.CACHE_DIR_ENV] = str(cache_dir)
     result_cache.reset_default_cache()
     from repro.experiments import runner
@@ -364,7 +372,7 @@ def drain_swarm(
             target=_drain_worker_entry,
             args=(
                 spec.to_dict(), f"{owner_prefix}{index}", policy, chaos,
-                str(disk.root),
+                str(disk.root), current_trace_context(),
             ),
             daemon=True,
         )

@@ -62,6 +62,15 @@ class BackingStore:
             raise ValueError(f"seqnum must be non-negative, got {seqnum}")
         self._seqnums[self.address_map.line_address(address)] = seqnum
 
+    def write_seqnums(self, seqnums: dict[int, int]) -> None:
+        """Store many lines' counters at once, in ``seqnums``' order.
+
+        The same as :meth:`write_seqnum` per item for line-aligned
+        addresses and non-negative counters, which the caller guarantees
+        (the fast-forward preseed install).
+        """
+        self._seqnums.update(seqnums)
+
     # -- MACs -----------------------------------------------------------------
 
     def read_mac(self, address: int) -> bytes | None:

@@ -458,9 +458,9 @@ class ServiceScheduler:
         """Run one grid in a worker thread; returns (sweep, accounting).
 
         The job's trace context is activated around the run — thread-local
-        for the supervisor/manifest writes happening on this thread, and
-        via ``REPRO_TRACE`` for the worker processes forked below, so
-        every manifest line lands tagged with the job that caused it.
+        for the supervisor/manifest writes happening on this thread; the
+        worker processes forked below are handed it at their fork sites —
+        so every manifest line lands tagged with the job that caused it.
         """
         from contextlib import nullcontext
 

@@ -22,8 +22,8 @@ instrument rack that makes those arguments checkable on any run:
   collapse to a shared no-op object while profiling is off.
 * :mod:`repro.telemetry.fleet` — cross-process job tracing: the
   :class:`~repro.telemetry.fleet.TraceContext` minted at job submission
-  and carried (thread-local + ``REPRO_TRACE``) into scheduler, supervisor
-  and fabric workers, plus the fold of journal + manifest + beacons into
+  and carried (thread-local, then ``REPRO_TRACE`` handed to each forked
+  worker) into scheduler, supervisor and fabric workers, plus the fold of journal + manifest + beacons into
   one Chrome trace (``repro trace --job``).
 * :mod:`repro.telemetry.prometheus` — Prometheus text exposition over the
   registry (``GET /metrics``) and the pure-python linter CI scrapes with.
@@ -49,6 +49,7 @@ from repro.telemetry.events import (
 )
 from repro.telemetry.fleet import (
     TraceContext,
+    adopt_trace_context,
     current_trace_context,
     fleet_trace,
     span_record,
@@ -93,6 +94,7 @@ __all__ = [
     "PROFILER",
     "profile_scope",
     "TraceContext",
+    "adopt_trace_context",
     "current_trace_context",
     "fleet_trace",
     "span_record",

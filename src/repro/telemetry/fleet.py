@@ -14,9 +14,13 @@ carried two ways at once —
 * a **thread-local activation** (:meth:`TraceContext.activate`) for
   code running in the service process (scheduler thread, in-process
   fabric worker 0), read back via :func:`current_trace_context`;
-* the ``REPRO_TRACE`` **environment variable**, inherited by forked
-  worker processes (fabric drain peers, supervised cell workers), so a
+* the ``REPRO_TRACE`` **environment variable** of a forked worker
+  process (fabric drain peer, supervised cell worker): the fork site
+  reads the forking thread's context and hands it to the child, which
+  sets it in its own environment (:func:`adopt_trace_context`), so a
   process that never saw the request still stamps its journal lines.
+  The service process's own environment is never written: two jobs
+  running at once in one service each hand their own context down.
 
 Layers append ``{"event": "span", ...}`` records (built by
 :func:`span_record`) to the job journal, and the sweep manifest's
@@ -50,11 +54,12 @@ __all__ = [
     "TRACE_ENV",
     "TraceContext",
     "current_trace_context",
+    "adopt_trace_context",
     "span_record",
     "fleet_trace",
 ]
 
-#: Environment variable carrying the active context into forked workers.
+#: Environment variable carrying a job's context in a forked worker.
 TRACE_ENV = "REPRO_TRACE"
 
 _LOCAL = threading.local()
@@ -114,28 +119,22 @@ class TraceContext:
 
     @contextmanager
     def activate(self):
-        """Make this context current for the thread *and* child processes.
+        """Make this context current for the calling thread.
 
         Sets the thread-local slot (read by journal writers in this
-        process) and ``REPRO_TRACE`` in the environment (inherited by
-        workers forked while the job runs); both are restored on exit.
-        The environment is process-global, so two jobs executing
-        concurrently in one service share a fork-carriage slot — forked
-        workers then attribute their lines to whichever job forked them,
-        which is exactly the lines' true parentage.
+        process) and restores the previous one on exit.  Worker processes
+        forked meanwhile get the context from their fork site
+        (:func:`adopt_trace_context`), never from this process's
+        environment, which a thread-local activation must not touch: with
+        overlapping jobs (A enters, B enters, A exits, B exits) a restored
+        process-global value would end up naming a finished job.
         """
-        previous_local = getattr(_LOCAL, "context", None)
-        previous_env = os.environ.get(TRACE_ENV)
+        previous = getattr(_LOCAL, "context", None)
         _LOCAL.context = self
-        os.environ[TRACE_ENV] = self.to_env()
         try:
             yield self
         finally:
-            _LOCAL.context = previous_local
-            if previous_env is None:
-                os.environ.pop(TRACE_ENV, None)
-            else:
-                os.environ[TRACE_ENV] = previous_env
+            _LOCAL.context = previous
 
 
 def current_trace_context() -> TraceContext | None:
@@ -143,13 +142,26 @@ def current_trace_context() -> TraceContext | None:
 
     The thread-local wins so two scheduler threads running different
     jobs never cross-tag; the environment fallback is what a forked
-    fabric worker (which inherited ``REPRO_TRACE`` but never called
-    :meth:`TraceContext.activate`) resolves.
+    worker (which was handed ``REPRO_TRACE`` by its fork site but never
+    called :meth:`TraceContext.activate`) resolves.
     """
     context = getattr(_LOCAL, "context", None)
     if context is not None:
         return context
     return TraceContext.from_env()
+
+
+def adopt_trace_context(context: TraceContext | None) -> None:
+    """In a freshly forked worker: make ``context`` this process's context.
+
+    The fork site reads :func:`current_trace_context` in the parent and
+    passes it to the child, which calls this first.  It sets
+    ``REPRO_TRACE`` in the child's own environment, so the child's
+    journal lines, and any process it forks in turn, carry the job that
+    caused them.
+    """
+    if context is not None:
+        os.environ[TRACE_ENV] = context.to_env()
 
 
 def span_record(name: str, role: str, trace: TraceContext, **extra) -> dict:

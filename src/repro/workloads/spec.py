@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cpu.trace import MemoryAccess
+from repro.cpu.trace import AccessTrace
 from repro.crypto.rng import HardwareRng
 from repro.workloads.synthetic import (
     AccessStream,
@@ -84,10 +84,15 @@ def _base(index: int) -> int:
 
 @dataclass(frozen=True)
 class Workload:
-    """A generated trace plus its fast-forward counter state."""
+    """A generated trace plus its fast-forward counter state.
+
+    ``preseed`` is drawn before the trace, so it does not depend on the
+    trace length: a shorter workload's preseed equals a longer one's, and
+    its trace is a prefix of the longer trace.
+    """
 
     name: str
-    trace: list[MemoryAccess] = field(repr=False)
+    trace: AccessTrace = field(repr=False)
     preseed: dict[int, int] = field(repr=False)
     seed: int = 1
 

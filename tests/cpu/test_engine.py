@@ -8,7 +8,6 @@ unsupported controllers transparently routed to the reference loop.
 """
 
 import dataclasses
-import warnings
 
 import pytest
 
@@ -17,7 +16,6 @@ from repro.cpu.engine import (
     BACKEND_ENV,
     BACKENDS,
     BatchedBackend,
-    NumbaBackend,
     ReferenceBackend,
     ReplayBackend,
     available_backends,
@@ -76,13 +74,12 @@ def assert_backends_identical(scheme, miss_trace, preseed, seed=1):
 class TestBackendRegistry:
     def test_all_backends_registered(self):
         assert available_backends() == sorted(BACKENDS)
-        for name in ("reference", "batched", "numba"):
+        for name in ("reference", "batched"):
             assert name in BACKENDS
 
     def test_explicit_resolution(self):
         assert isinstance(resolve_backend("reference"), ReferenceBackend)
         assert type(resolve_backend("batched")) is BatchedBackend
-        assert isinstance(resolve_backend("numba"), NumbaBackend)
 
     def test_default_is_batched(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV, raising=False)
@@ -122,22 +119,6 @@ class TestBackendRegistry:
             assert resolve_backend("echo-test").replay(None, None) == "echoed"
         finally:
             BACKENDS.pop("echo-test", None)
-
-
-class TestNumbaBackend:
-    def test_warns_once_then_delegates(self, monkeypatch):
-        backend = resolve_backend("numba")
-        if backend.available():  # pragma: no cover - numba-equipped installs
-            pytest.skip("numba installed; graceful-degradation path inactive")
-        monkeypatch.setattr(NumbaBackend, "_warned", False)
-        miss_trace, preseed = trace_for("gzip")
-        with pytest.warns(RuntimeWarning, match="numba is not installed"):
-            first = run_backend("numba", "pred_regular", miss_trace, preseed)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # second run must stay silent
-            second = run_backend("numba", "pred_regular", miss_trace, preseed)
-        assert first == second
-        assert first == run_backend("batched", "pred_regular", miss_trace, preseed)
 
 
 class TestCompiledTrace:

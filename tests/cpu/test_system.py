@@ -31,7 +31,7 @@ def linear_trace(lines, gap=10, write=False):
 class TestCollectMissTrace:
     def test_cold_misses_recorded(self):
         trace = linear_trace(10)
-        miss_trace = collect_miss_trace(trace, hierarchy=MemoryHierarchy(tiny_config()))
+        miss_trace = collect_miss_trace(trace, hierarchy_config=tiny_config())
         assert miss_trace.l2_misses == 10
         assert miss_trace.total_references == 10
         assert miss_trace.total_instructions == 100
@@ -40,25 +40,24 @@ class TestCollectMissTrace:
 
     def test_hits_not_recorded_as_events(self):
         trace = linear_trace(4) + linear_trace(4)
-        miss_trace = collect_miss_trace(trace, hierarchy=MemoryHierarchy(tiny_config()))
+        miss_trace = collect_miss_trace(trace, hierarchy_config=tiny_config())
         assert miss_trace.l2_misses == 4
         assert miss_trace.l1_hits == 4
 
     def test_l2_hit_gap_counting(self):
-        hierarchy = MemoryHierarchy(tiny_config())
         trace = linear_trace(17)  # fill L1 (16 lines) and one more
         trace += [MemoryAccess(0, gap_instructions=10)]  # L1 victim, L2 hit
         trace += [MemoryAccess(33 * 32, gap_instructions=10)]  # new miss
-        miss_trace = collect_miss_trace(trace, hierarchy=hierarchy)
+        miss_trace = collect_miss_trace(trace, hierarchy_config=tiny_config())
         assert miss_trace.l2_hits == 1
         assert miss_trace.events[-1].gap_l2_hits == 1
 
     def test_writebacks_attached_to_events(self):
-        hierarchy = MemoryHierarchy(tiny_config())
-        sets = hierarchy.l2.config.num_sets
+        config = tiny_config()
+        sets = config.l2_size // (config.line_bytes * config.l2_associativity)
         stride = sets * 32
         trace = [MemoryAccess(w * stride, is_write=True) for w in range(5)]
-        miss_trace = collect_miss_trace(trace, hierarchy=hierarchy)
+        miss_trace = collect_miss_trace(trace, hierarchy_config=config)
         writebacks = [a for e in miss_trace.events for a in e.writeback_addresses]
         assert writebacks == [0]
 
@@ -66,7 +65,7 @@ class TestCollectMissTrace:
         trace = [MemoryAccess(i * 32, is_write=True, gap_instructions=100) for i in range(20)]
         miss_trace = collect_miss_trace(
             trace,
-            hierarchy=MemoryHierarchy(tiny_config()),
+            hierarchy_config=tiny_config(),
             flush_interval_instructions=1000,
         )
         flush_events = [e for e in miss_trace.events if not e.fetch_addresses]
@@ -75,7 +74,7 @@ class TestCollectMissTrace:
 
     def test_miss_rate_properties(self):
         miss_trace = collect_miss_trace(
-            linear_trace(10), hierarchy=MemoryHierarchy(tiny_config())
+            linear_trace(10), hierarchy_config=tiny_config()
         )
         assert miss_trace.miss_rate == 1.0
         assert miss_trace.misses_per_kilo_instruction == pytest.approx(100.0)
@@ -84,7 +83,7 @@ class TestCollectMissTrace:
 class TestReplay:
     def test_replay_produces_cycles_and_stats(self):
         miss_trace = collect_miss_trace(
-            linear_trace(20), hierarchy=MemoryHierarchy(tiny_config())
+            linear_trace(20), hierarchy_config=tiny_config()
         )
         controller = SecureMemoryController()
         metrics = replay_miss_trace(miss_trace, controller, scheme="baseline")
@@ -95,7 +94,7 @@ class TestReplay:
 
     def test_replay_is_deterministic(self):
         miss_trace = collect_miss_trace(
-            linear_trace(20), hierarchy=MemoryHierarchy(tiny_config())
+            linear_trace(20), hierarchy_config=tiny_config()
         )
         a = replay_miss_trace(miss_trace, SecureMemoryController())
         b = replay_miss_trace(miss_trace, SecureMemoryController())
@@ -103,7 +102,7 @@ class TestReplay:
 
     def test_oracle_faster_than_baseline(self):
         miss_trace = collect_miss_trace(
-            linear_trace(50), hierarchy=MemoryHierarchy(tiny_config())
+            linear_trace(50), hierarchy_config=tiny_config()
         )
         baseline = replay_miss_trace(miss_trace, SecureMemoryController())
         oracle = replay_miss_trace(miss_trace, SecureMemoryController(oracle=True))
@@ -111,7 +110,7 @@ class TestReplay:
 
     def test_overlap_reduces_stall(self):
         miss_trace = collect_miss_trace(
-            linear_trace(50), hierarchy=MemoryHierarchy(tiny_config())
+            linear_trace(50), hierarchy_config=tiny_config()
         )
         blocking = replay_miss_trace(
             miss_trace, SecureMemoryController(), core=CoreConfig(miss_overlap=0.0)

@@ -125,6 +125,18 @@ class TestCheckRegression:
         violations = check_regression(current, _report(parallel=0.92))
         assert any("parallel_speedup" in v and "8-CPU" in v for v in violations)
 
+    def test_parallel_speedup_not_required_for_one_job(self):
+        # --jobs 1 runs the "parallel" pass as the serial loop again.
+        current = _report(parallel=0.96, cpus=2)
+        current["grid"]["jobs"] = 1
+        assert check_regression(current, _report(parallel=0.96)) == []
+
+    def test_parallel_speedup_required_for_two_jobs(self):
+        current = _report(parallel=0.96, cpus=2)
+        current["grid"]["jobs"] = 2
+        violations = check_regression(current, _report(parallel=0.96))
+        assert any("parallel_speedup" in v and "2-CPU" in v for v in violations)
+
     def test_parallel_speedup_not_required_on_one_cpu(self):
         current = _report(parallel=0.92, cpus=1)
         assert check_regression(current, _report(parallel=0.92)) == []

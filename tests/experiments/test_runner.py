@@ -89,6 +89,54 @@ class TestMissTraceCache:
         assert a.l2_misses >= b.l2_misses  # bigger L2 filters more
 
 
+class TestSharedWorkload:
+    def test_machines_share_one_workload_and_preseed(self, monkeypatch):
+        from repro.experiments import runner
+        from repro.experiments.config import TABLE1_1M
+
+        runner._MISS_TRACE_CACHE.clear()
+        built = []
+        original = runner.build_workload
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "build_workload", counting)
+        small, small_preseed = get_miss_trace("vpr", TABLE1_256K, REFS, seed=5)
+        large, large_preseed = get_miss_trace("vpr", TABLE1_1M, REFS, seed=5)
+        assert small is not large
+        assert small_preseed is large_preseed
+        assert len(built) == 1
+        runner._MISS_TRACE_CACHE.clear()
+        assert not runner._MISS_TRACE_CACHE.workloads
+        get_miss_trace("vpr", TABLE1_1M, REFS, seed=5)
+        assert len(built) == 2
+
+    def test_front_end_builds_no_per_reference_objects(self, monkeypatch):
+        # Synthesis and filtering work on flat columns: no MemoryAccess,
+        # AccessOutcome or CacheAccessResult per reference.
+        from repro.cpu.trace import MemoryAccess
+        from repro.experiments import runner
+        from repro.memory.cache import CacheAccessResult
+        from repro.memory.hierarchy import AccessOutcome
+
+        runner._MISS_TRACE_CACHE.clear()
+        made = []
+        for cls in (MemoryAccess, AccessOutcome, CacheAccessResult):
+            original = cls.__init__
+
+            def counting(self, *args, _original=original, **kwargs):
+                made.append(type(self).__name__)
+                _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        miss_trace, _ = get_miss_trace("gcc", TABLE1_256K, REFS, seed=6)
+        assert miss_trace.total_references == REFS
+        assert made == []
+        runner._MISS_TRACE_CACHE.clear()
+
+
 class TestPreseed:
     def test_counters_installed_relative_to_mapping_roots(self):
         controller = make_controller(SCHEMES["baseline"])

@@ -4,7 +4,6 @@ import pytest
 
 from repro.cpu.system import collect_miss_trace
 from repro.cpu.trace import summarize_trace
-from repro.memory.hierarchy import MemoryHierarchy
 from repro.experiments.config import TABLE1_256K
 from repro.workloads.spec import SPEC_BENCHMARKS, build_workload
 
@@ -43,8 +42,7 @@ class TestEveryBenchmark:
     @pytest.mark.parametrize("name", SPEC_BENCHMARKS)
     def test_produces_l2_misses(self, workloads, name):
         miss_trace = collect_miss_trace(
-            workloads[name].trace,
-            hierarchy=MemoryHierarchy(TABLE1_256K.hierarchy),
+            workloads[name].trace, hierarchy_config=TABLE1_256K.hierarchy
         )
         # The paper subsets SPEC "for those with high L2 misses".
         assert miss_trace.l2_misses > REFS * 0.1
@@ -54,7 +52,7 @@ class TestEveryBenchmark:
         mpki = {}
         for name, workload in workloads.items():
             miss_trace = collect_miss_trace(
-                workload.trace, hierarchy=MemoryHierarchy(TABLE1_256K.hierarchy)
+                workload.trace, hierarchy_config=TABLE1_256K.hierarchy
             )
             mpki[name] = miss_trace.misses_per_kilo_instruction
         # The pointer/FP heavyweights sit above the mild INT codes.
