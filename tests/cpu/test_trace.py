@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cpu.trace import MemoryAccess, summarize_trace
+from repro.cpu.trace import AccessTrace, MemoryAccess, summarize_trace
 
 
 class TestMemoryAccess:
@@ -24,6 +24,19 @@ class TestMemoryAccess:
         access = MemoryAccess(address=0)
         with pytest.raises(AttributeError):
             access.address = 1
+
+
+class TestAccessTrace:
+    def test_gaps_hold_64_bit_values(self):
+        accesses = [MemoryAccess(2**64 - 32, gap_instructions=2**32), MemoryAccess(0)]
+        trace = AccessTrace.from_accesses(accesses)
+        assert trace == accesses
+        assert trace[0].gap_instructions == 2**32
+
+    @pytest.mark.parametrize("field", ["address", "gap_instructions"])
+    def test_values_beyond_64_bits_are_a_value_error(self, field):
+        with pytest.raises(ValueError, match=r"2\*\*64"):
+            AccessTrace.from_accesses([MemoryAccess(**{"address": 0, field: 2**64})])
 
 
 class TestSummary:

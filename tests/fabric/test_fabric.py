@@ -2,10 +2,12 @@
 
 import dataclasses
 import json
+import time
 
 import pytest
 
 from repro.experiments import cache as result_cache
+from repro.experiments.supervisor import manifest_path, parse_manifest_line
 from repro.experiments.sweep import run_grid
 from repro.faults.orchestration import FabricChaos, FabricChaosSpec
 from repro.fabric import (
@@ -45,6 +47,19 @@ def _metrics(sweep) -> dict:
 def _merged(sweep) -> str:
     merged = sweep.merged_snapshot()
     return json.dumps(merged.values if merged else {}, sort_keys=True)
+
+
+def _wait_for_claim(worker, owner: str, timeout: float = 60.0) -> None:
+    """Block until ``owner`` has journaled a claim in ``worker``'s sweep."""
+    path = manifest_path(worker.disk.root, worker.key)
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        lines = path.read_text().splitlines() if path.exists() else []
+        for entry in filter(None, map(parse_manifest_line, lines)):
+            if entry.get("event") == "start" and entry.get("owner") == owner:
+                return
+        time.sleep(0.01)
+    raise AssertionError(f"{owner} claimed no cell within {timeout} s")
 
 
 class TestSwarmSpec:
@@ -127,7 +142,18 @@ class TestMultiWorkerDrain:
         tokens = sweep.fabric["stored_tokens"]
         assert len({(key, token) for key, token, _ in tokens}) == len(tokens)
 
-    def test_takeover_after_worker_kill(self):
+    def test_takeover_after_worker_kill(self, monkeypatch):
+        # The in-process k0 starts draining only once the forked k1 has
+        # claimed a cell (and died holding it), so k0 cannot finish both
+        # cells first: it must take k1's lease over after the TTL.
+        drain = FabricWorker.drain
+
+        def drain_after_k1_claims(worker):
+            if worker.owner == "k0":
+                _wait_for_claim(worker, "k1")
+            return drain(worker)
+
+        monkeypatch.setattr(FabricWorker, "drain", drain_after_k1_claims)
         chaos = FabricChaos(
             FabricChaosSpec(kill_rate=1.0, immune_owners=("k0",))
         )
