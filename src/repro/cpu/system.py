@@ -18,7 +18,7 @@ Two ways to run a workload:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from repro.cpu.core import CoreConfig, RunMetrics
 from repro.cpu.engine import resolve_backend
@@ -39,9 +39,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MissEvent:
-    """One L2-boundary event: optional fetches plus resulting write-backs."""
+class MissEvent(NamedTuple):
+    """One L2-boundary event: optional fetches plus resulting write-backs.
+
+    A tuple rather than a frozen dataclass: the filter builds one per L2
+    miss, and the replay compiler transposes the events into columns with
+    one ``zip``.
+    """
 
     gap_instructions: int
     gap_l2_hits: int

@@ -37,7 +37,14 @@ from repro.secure.errors import (
 )
 from repro.secure.integrity import IntegrityTree
 from repro.secure.otp import OtpGenerator, blocks_per_line
-from repro.secure.predictors import NullPredictor, OtpPredictor
+from repro.secure.predictors import (
+    ContextOtpPredictor,
+    NullPredictor,
+    OtpPredictor,
+    RangePredictionTable,
+    RegularOtpPredictor,
+    TwoLevelOtpPredictor,
+)
 from repro.secure.seqcache import SequenceNumberCache
 from repro.secure.seqnum import PageSecurityTable
 from repro.secure.threat import PadReuseAuditor
@@ -449,7 +456,14 @@ class SecureMemoryController:
         never faults, so only the overflow clause can trigger, and the
         batched core delegates saturated write-backs to
         :meth:`writeback_line`.
+
+        The batched core runs prediction in closed form and never calls
+        the predictor, so the predictor must be one it writes out: a
+        stock null, regular, two-level (with a stock range table) or
+        context predictor, the last two without root history.
         """
+        predictor = self.predictor
+        kind = type(predictor)
         return (
             type(self) is SecureMemoryController
             and not self.functional
@@ -464,6 +478,16 @@ class SecureMemoryController:
             and (
                 self.seqcache is None
                 or type(self.seqcache) is SequenceNumberCache
+            )
+            and (
+                kind is NullPredictor
+                or kind is RegularOtpPredictor
+                or (kind is ContextOtpPredictor and not predictor.use_root_history)
+                or (
+                    kind is TwoLevelOtpPredictor
+                    and not predictor.use_root_history
+                    and type(predictor.range_table) is RangePredictionTable
+                )
             )
         )
 
