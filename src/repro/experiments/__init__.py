@@ -18,7 +18,6 @@ from repro.experiments.parallel import (
     default_jobs,
     parallel_map,
     run_benchmark_cells_parallel,
-    run_benchmark_parallel,
     run_grid_cells,
     run_seeds,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "default_jobs",
     "parallel_map",
     "run_benchmark_cells_parallel",
-    "run_benchmark_parallel",
     "run_grid_cells",
     "run_seeds",
     "MachineConfig",

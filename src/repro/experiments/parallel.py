@@ -28,7 +28,6 @@ from __future__ import annotations
 import atexit
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.cpu.core import RunMetrics
@@ -48,11 +47,9 @@ __all__ = [
     "resolve_jobs",
     "warm_pool",
     "shutdown_pool",
-    "shared_pool",
     "parallel_map",
     "run_grid_cells",
     "run_benchmark_cells_parallel",
-    "run_benchmark_parallel",
     "run_seeds",
 ]
 
@@ -85,8 +82,7 @@ def resolve_jobs(jobs: int | None) -> int:
 # pays the startup tax over and over and can end up *slower* than the
 # serial loop.  The pool below is created once, reused by every
 # ``parallel_map`` call that fits inside it, and torn down at process exit
-# (or explicitly via :func:`shutdown_pool` / the :func:`shared_pool`
-# context manager).
+# (or explicitly via :func:`shutdown_pool`).
 
 _POOL: ProcessPoolExecutor | None = None
 _POOL_JOBS = 0
@@ -118,19 +114,6 @@ def shutdown_pool() -> None:
 
 
 atexit.register(shutdown_pool)
-
-
-@contextmanager
-def shared_pool(jobs: int | None = None):
-    """Scope a warm shared pool over several ``parallel_map`` calls.
-
-    ``with shared_pool(jobs):`` warms the pool once; every
-    ``parallel_map`` inside the block reuses it, so multi-batch sweeps pay
-    worker startup a single time.  The pool persists after the block (it
-    is the process-wide shared pool) — use :func:`shutdown_pool` to drop
-    it eagerly.
-    """
-    yield warm_pool(jobs)
 
 
 def parallel_map(fn, items, jobs: int | None = 1) -> list:
@@ -310,32 +293,6 @@ def run_benchmark_cells_parallel(
             name = scheme if isinstance(scheme, str) else scheme.name
             cells[name] = outcome
     return cells, failures
-
-
-def run_benchmark_parallel(
-    benchmark: str,
-    schemes,
-    machine: MachineConfig = TABLE1_256K,
-    references: int | None = None,
-    seed: int = 1,
-    keep_going: bool = False,
-    retries: int = 1,
-    jobs: int | None = 1,
-    use_cache: bool = False,
-) -> tuple[dict[str, RunMetrics], list[RunFailure]]:
-    """Metrics-only view of :func:`run_benchmark_cells_parallel`."""
-    cells, failures = run_benchmark_cells_parallel(
-        benchmark,
-        schemes,
-        machine=machine,
-        references=references,
-        seed=seed,
-        keep_going=keep_going,
-        retries=retries,
-        jobs=jobs,
-        use_cache=use_cache,
-    )
-    return {name: cell.metrics for name, cell in cells.items()}, failures
 
 
 # -- per-seed partitioning (multi-seed statistics) -----------------------------

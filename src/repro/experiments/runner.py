@@ -54,10 +54,8 @@ __all__ = [
     "run_cell",
     "run_cell_isolated",
     "run_scheme",
-    "run_scheme_isolated",
     "run_benchmark",
     "run_benchmark_cells",
-    "run_benchmark_resilient",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -557,49 +555,3 @@ def run_cell_isolated(
         attempts=attempts,
         cell_key=cell_key,
     )
-
-
-def run_scheme_isolated(
-    benchmark: str,
-    scheme: str | SchemeSpec,
-    machine: MachineConfig = TABLE1_256K,
-    references: int | None = None,
-    seed: int = 1,
-    retries: int = 1,
-    use_cache: bool = False,
-) -> RunMetrics | RunFailure:
-    """Metrics-only view of :func:`run_cell_isolated`."""
-    outcome = run_cell_isolated(
-        benchmark, scheme, machine, references, seed, retries, use_cache
-    )
-    if isinstance(outcome, RunFailure):
-        return outcome
-    return outcome.metrics
-
-
-def run_benchmark_resilient(
-    benchmark: str,
-    schemes: list[str],
-    machine: MachineConfig = TABLE1_256K,
-    references: int | None = None,
-    seed: int = 1,
-    retries: int = 1,
-    use_cache: bool = False,
-) -> tuple[dict[str, RunMetrics], list[RunFailure]]:
-    """Like :func:`run_benchmark`, but failures yield partial results.
-
-    Returns ``(results, failures)``: every scheme that completed (possibly
-    after a retry) lands in ``results``; the rest are described in
-    ``failures`` in submission order.
-    """
-    cells, failures = run_benchmark_cells(
-        benchmark,
-        schemes,
-        machine,
-        references,
-        seed,
-        keep_going=True,
-        retries=retries,
-        use_cache=use_cache,
-    )
-    return {scheme: cell.metrics for scheme, cell in cells.items()}, failures

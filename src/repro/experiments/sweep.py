@@ -44,10 +44,9 @@ class SweepResult:
     retries — including its content-addressed cache key, so a follow-up
     run can retry exactly those cells — and the corresponding key is
     simply absent from ``results``.  ``supervision`` carries the
-    supervisor's recovery counters when the grid ran under
-    :func:`repro.experiments.supervisor.run_grid_supervised`.  ``fabric``
-    carries the drain summary when the grid was executed by the
-    distributed fabric (:func:`repro.fabric.drain_swarm`).
+    supervisor's counters when the grid ran under
+    :func:`repro.experiments.supervisor.run_grid_supervised`, including a
+    fabric drain's (:func:`repro.fabric.drain_swarm`) lease counters.
     """
 
     machine: str
@@ -61,7 +60,6 @@ class SweepResult:
         repr=False, default_factory=dict
     )
     supervision: dict | None = None
-    fabric: dict | None = None
 
     @property
     def complete(self) -> bool:
@@ -110,9 +108,9 @@ class SweepResult:
         """Versioned JSON-able form of the whole grid.
 
         Cells are keyed ``"benchmark/scheme"`` in sorted order.  Execution
-        metadata (``supervision``/``fabric``) is excluded by default: it
-        describes *how* the grid ran, not *what* it computed, and leaving
-        it out makes serial, supervised, and fabric runs of the same spec
+        metadata (``supervision``) is excluded by default: it describes
+        *how* the grid ran, not *what* it computed, and leaving it out
+        makes serial, supervised, and fabric runs of the same spec
         serialize byte-identically (the service's result contract).
         """
         payload: dict = {
@@ -143,7 +141,6 @@ class SweepResult:
         }
         if include_execution:
             payload["supervision"] = self.supervision
-            payload["fabric"] = self.fabric
         return payload
 
     def canonical_json(self, include_execution: bool = False) -> str:
@@ -184,7 +181,6 @@ class SweepResult:
             RunFailure(**failure) for failure in payload.get("failures", [])
         ]
         sweep.supervision = payload.get("supervision")
-        sweep.fabric = payload.get("fabric")
         return sweep
 
     def table(
@@ -218,16 +214,16 @@ class SweepResult:
         )
 
 
-# When set (by the CLI's --supervise/--resume flags, before it calls
-# figure functions whose signatures don't carry engine options), run_grid
-# routes through the supervised executor by default.
+# When set (by the CLI's --supervise flag, before it calls figure
+# functions whose signatures don't carry engine options), run_grid routes
+# through the supervised executor by default.
 _DEFAULT_SUPERVISION: dict | None = None
 
 
-def set_default_supervision(policy=None, resume: bool = False) -> None:
+def set_default_supervision(policy=None) -> None:
     """Make every subsequent :func:`run_grid` call supervised by default."""
     global _DEFAULT_SUPERVISION
-    _DEFAULT_SUPERVISION = {"policy": policy, "resume": resume}
+    _DEFAULT_SUPERVISION = {"policy": policy}
 
 
 def reset_default_supervision() -> None:
@@ -247,7 +243,6 @@ def run_grid(
     use_cache: bool = False,
     series_interval: int = 0,
     supervise: bool | None = None,
-    resume: bool = False,
     policy=None,
     chaos=None,
 ) -> SweepResult:
@@ -270,13 +265,12 @@ def run_grid(
     ``supervise=True`` (or a process-wide default installed with
     :func:`set_default_supervision`) routes the grid through
     :func:`repro.experiments.supervisor.run_grid_supervised` — per-cell
-    timeouts, crash retry, checkpoint manifest, ``resume`` — with
-    identical results.
+    timeouts, crash retry, checkpoint manifest, cached cells served
+    without a worker — with identical results.
     """
     if supervise is None and _DEFAULT_SUPERVISION is not None:
         supervise = True
         policy = policy or _DEFAULT_SUPERVISION["policy"]
-        resume = resume or _DEFAULT_SUPERVISION["resume"]
     if supervise:
         from repro.experiments.supervisor import run_grid_supervised
 
@@ -292,7 +286,6 @@ def run_grid(
             series_interval=series_interval,
             policy=policy,
             chaos=chaos,
-            resume=resume,
         )
     sweep = SweepResult(machine=machine.name, references=references)
     cells = run_grid_cells(

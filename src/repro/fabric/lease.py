@@ -31,6 +31,10 @@ Every lease payload carries a content digest (the cache's discipline), so
 a torn write — a crash mid-``O_EXCL``-write, or injected corruption — is
 *detected* rather than trusted, and the cell is taken over like an
 expired one.
+
+The claim → renew → fenced store → release cycle runs inside the
+supervisor's loop (:func:`repro.experiments.supervisor.
+run_grid_supervised` with ``leases=``); this module only keeps the files.
 """
 
 from __future__ import annotations
@@ -43,6 +47,9 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.ioutil import atomic_write_json
+from repro.telemetry.log import get_logger
+
 __all__ = [
     "LEASE_SCHEMA",
     "Lease",
@@ -54,6 +61,8 @@ __all__ = [
 ]
 
 LEASE_SCHEMA = "repro.fabric.lease/v1"
+
+_LOG = get_logger("fabric.lease")
 
 
 def lease_root(cache_root: str | Path, sweep_key: str) -> Path:
@@ -231,8 +240,8 @@ class LeaseManager:
         """Claim ``key``: a :class:`Lease` carrying our fencing token, or
         ``None`` when another live owner holds it (or we lost the race).
 
-        Raises ``OSError`` only for an unusable lease directory (the
-        worker's cue to degrade to single-host supervised mode).
+        Raises ``OSError`` only for an unusable lease directory, which
+        ends the drain.
         """
         self.root.mkdir(parents=True, exist_ok=True)
         path = self._lease_path(key)
@@ -388,6 +397,30 @@ class LeaseManager:
         return triples
 
     # -- observation -----------------------------------------------------------
+
+    def beacon(self, state: str, stats: dict) -> None:
+        """Publish this owner's liveness row for ``repro swarm status``."""
+        try:
+            atomic_write_json(
+                self.root / "workers" / f"{self.owner.replace('/', '_')}.json",
+                {
+                    "owner": self.owner,
+                    "pid": os.getpid(),
+                    "state": state,
+                    "updated": self.clock(),
+                    "stats": stats,
+                    "leases": self.stats.as_dict(),
+                },
+                sort_keys=True,
+            )
+        except OSError as error:
+            # Liveness reporting must never take the drain down, but a
+            # beacon that silently stops updating looks like a dead
+            # drain to every observer — say why it stopped.
+            _LOG.warning(
+                "worker beacon write failed",
+                owner=self.owner, state=state, error=str(error),
+            )
 
     def snapshot(self) -> list[dict]:
         """Every lease in the directory, decorated with heartbeat age.

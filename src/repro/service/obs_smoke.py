@@ -1,7 +1,7 @@
 """Observability smoke: the CI gate for the fleet observability plane.
 
-Starts a real service with the **fabric** executor (worker 0 in-process
-plus forked drain peers, so the job genuinely spans multiple OS
+Starts a real service with its default executor (the supervisor forks
+one worker process per cell, so the job genuinely spans multiple OS
 processes), submits one tiny grid, and asserts the observability
 contract end to end:
 
@@ -69,9 +69,9 @@ def _wait_ready(client: ServiceClient, timeout: float = 10.0) -> dict:
 def _observed_pids(store: JobStore, job_id: str, cache_root: Path) -> set[int]:
     """Distinct OS pids that wrote records carrying this job's context.
 
-    Journal spans and manifest lines are trace-tagged directly; worker
-    beacons belong to the job's sweep (its lease directory) and stamp
-    their own pid — together they witness every process the job touched.
+    Journal spans and manifest lines are trace-tagged directly, and a
+    cell's manifest lines carry the pid of the worker that ran it —
+    together they witness every process the job touched.
     """
     from repro.experiments.supervisor import manifest_path, parse_manifest_line
 
@@ -94,22 +94,12 @@ def _observed_pids(store: JobStore, job_id: str, cache_root: Path) -> set[int]:
             continue
         if isinstance(parsed.get("pid"), int):
             pids.add(parsed["pid"])
-    workers_dir = cache_root / "leases" / sweep_key / "workers"
-    if workers_dir.is_dir():
-        for path in workers_dir.glob("*.json"):
-            try:
-                beacon = json.loads(path.read_text())
-            except (OSError, ValueError):
-                continue
-            if isinstance(beacon.get("pid"), int):
-                pids.add(beacon["pid"])
     return pids
 
 
 def run_obs_smoke(
     references: int = 2000,
     seed: int = 1,
-    workers: int = 3,
     cache_dir: str | None = None,
     artifacts: str | None = None,
 ) -> dict:
@@ -132,11 +122,7 @@ def run_obs_smoke(
         handle = serve_in_thread(
             ServiceScheduler(
                 store=store,
-                policy=SchedulerPolicy(
-                    sample_interval_seconds=0.05,
-                    executor="fabric",
-                    fabric_workers=workers,
-                ),
+                policy=SchedulerPolicy(sample_interval_seconds=0.05),
             )
         )
         try:
@@ -157,7 +143,7 @@ def run_obs_smoke(
             if problems:
                 raise AssertionError(f"cold /metrics fails lint: {problems}")
 
-            # 3. one tiny job through the fabric (multi-process drain).
+            # 3. one tiny job, one forked worker per cell.
             receipt = client.submit(
                 _TENANT, _BENCHMARKS, _SCHEMES, references=references, seed=seed
             )
@@ -210,7 +196,6 @@ def run_obs_smoke(
         report = {
             "ok": True,
             "references": references,
-            "workers": workers,
             "job_id": job_id,
             "lanes": sorted(lanes),
             "distinct_pids": len(pids),
@@ -234,9 +219,6 @@ def main(argv=None) -> int:
     parser.add_argument("--refs", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument(
-        "--workers", type=int, default=3, help="fabric drain width"
-    )
-    parser.add_argument(
         "--artifacts", default=None, metavar="DIR",
         help="save scrapes, trace and report here for CI upload",
     )
@@ -245,7 +227,6 @@ def main(argv=None) -> int:
     report = run_obs_smoke(
         references=args.refs,
         seed=args.seed,
-        workers=args.workers,
         artifacts=args.artifacts,
     )
     if args.json:

@@ -312,8 +312,8 @@ class JobStore:
 
         Jobs found ``running`` were interrupted mid-execution; they are
         journalled back to ``queued`` with a ``recovered`` marker and will
-        re-execute with ``resume=True`` — cached cells are served from the
-        manifest + result cache, so no completed work is recomputed.
+        re-execute — cells whose result-cache entries verify are served
+        without a worker, so no completed work is recomputed.
         """
         recovered = []
         for record in self.jobs():

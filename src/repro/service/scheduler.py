@@ -3,17 +3,17 @@
 The scheduler is the only component that runs grids.  Admission applies
 per-tenant quotas (inflight jobs, concurrent jobs, cells per job) and a
 global concurrency cap; execution routes each admitted job through
-:func:`~repro.experiments.supervisor.run_grid_supervised` (or a fabric
-drain) in a worker thread, with ``use_cache=True`` + ``resume=True`` so
-cells another tenant — or a previous life of this service — already
-computed are served from the content-addressed cache instead of re-run.
+:func:`~repro.experiments.supervisor.run_grid_supervised` in a worker
+thread, with ``use_cache=True`` so cells another tenant — or a previous
+life of this service — already computed are served from the
+content-addressed cache instead of re-run.
 
-Dedup accounting is measured, not trusted: immediately before running,
-the scheduler counts which of the job's cache keys already resolve
-(``cache_hits``); the remainder is ``cells_computed``.  The two always
-sum to the grid size, and because keys are content-addressed the same
-split is what any tenant would observe — cross-tenant dedup shows up as
-a second tenant's job arriving all-hits.
+Dedup accounting is measured, not trusted: ``cache_hits`` is the number
+of cells the supervisor served from verified cache entries, and the
+remainder is ``cells_computed``.  The two always sum to the grid size,
+and because keys are content-addressed the same split is what any tenant
+would observe — cross-tenant dedup shows up as a second tenant's job
+arriving all-hits.
 """
 
 from __future__ import annotations
@@ -61,8 +61,6 @@ class SchedulerPolicy:
     sample_interval_seconds: float = 0.25  # progress-sample cadence
     poll_interval_seconds: float = 0.05    # admission-loop cadence
     cell_jobs: int = 1                     # worker processes per grid
-    executor: str = "supervised"           # "supervised" | "fabric"
-    fabric_workers: int = 2                # drain width in fabric mode
 
 
 class QuotaExceeded(Exception):
@@ -400,7 +398,7 @@ class ServiceScheduler:
         Prefers lines tagged with the job's trace context; falls back to
         the first ``start`` at or after the job began running (an
         untagged line from a direct CLI drain of the same sweep).  A
-        fully warm resume writes no ``start`` at all — then the job's
+        fully warm job writes no ``start`` at all — then the job's
         "first cell" is the moment execution began.
         """
         from repro.experiments.supervisor import parse_manifest_line
@@ -464,42 +462,24 @@ class ServiceScheduler:
         """
         from contextlib import nullcontext
 
-        disk = default_cache()
-        cells = spec.cells()
-        hits = sum(
-            1 for _, _, key in cells if disk.lookup_cell(key) is not None
-        )
         with trace.activate() if trace is not None else nullcontext():
-            if self.policy.executor == "fabric":
-                from repro.fabric.coordinator import SwarmSpec, drain_swarm
-
-                sweep = drain_swarm(
-                    SwarmSpec(
-                        benchmarks=spec.benchmarks,
-                        schemes=spec.schemes,
-                        machine=spec.machine,
-                        references=spec.references,
-                        seed=spec.seed,
-                    ),
-                    workers=self.policy.fabric_workers,
-                )
-            else:
-                sweep = run_grid_supervised(
-                    list(spec.benchmarks),
-                    list(spec.schemes),
-                    machine=spec.machine_config,
-                    references=spec.references,
-                    seed=spec.seed,
-                    keep_going=True,
-                    jobs=self.policy.cell_jobs,
-                    use_cache=True,
-                    resume=True,
-                    policy=SupervisorPolicy(),
-                )
+            sweep = run_grid_supervised(
+                list(spec.benchmarks),
+                list(spec.schemes),
+                machine=spec.machine_config,
+                references=spec.references,
+                seed=spec.seed,
+                keep_going=True,
+                jobs=self.policy.cell_jobs,
+                use_cache=True,
+                policy=SupervisorPolicy(),
+            )
+        total = sweep.supervision["cells_total"]
+        hits = sweep.supervision["cells_resumed"]
         accounting = {
-            "cells_total": len(cells),
+            "cells_total": total,
             "cache_hits": hits,
-            "cells_computed": len(cells) - hits,
+            "cells_computed": total - hits,
         }
         return sweep, accounting
 

@@ -2,7 +2,7 @@
 
 A job's life spans at least three execution contexts — the HTTP server
 that accepts it, the scheduler loop that admits and runs it, and the
-fabric/supervisor workers (often separate OS processes) that compute its
+supervisor's cell workers (separate OS processes) that compute its
 cells.  Each already journals what it did (job journal, sweep manifest,
 lease beacons); what was missing is the *correlation*: a way to say
 "these manifest lines, in that worker, belong to this submission".
@@ -12,10 +12,10 @@ parent_id)`` triple minted when ``POST /v1/jobs`` accepts a spec and
 carried two ways at once —
 
 * a **thread-local activation** (:meth:`TraceContext.activate`) for
-  code running in the service process (scheduler thread, in-process
-  fabric worker 0), read back via :func:`current_trace_context`;
+  code running in the service process (the scheduler thread and the
+  supervisor loop it runs), read back via :func:`current_trace_context`;
 * the ``REPRO_TRACE`` **environment variable** of a forked worker
-  process (fabric drain peer, supervised cell worker): the fork site
+  process (a supervised cell worker): the fork site
   reads the forking thread's context and hands it to the child, which
   sets it in its own environment (:func:`adopt_trace_context`), so a
   process that never saw the request still stamps its journal lines.
@@ -198,10 +198,10 @@ def _at(ts: float, epoch: float) -> int:
 def _manifest_lane(record: dict, scheduler_pid: int | None) -> str:
     """Which process lane a manifest line belongs to.
 
-    Fabric lines carry their worker's ``owner``; supervised lines only a
-    ``pid``.  Lines written by the service process itself (supervised
-    cells, fabric worker 0 draining in-process) fold into the scheduler
-    lane — they genuinely ran there.
+    A leased drain's lines carry its ``owner``; other lines the ``pid`` of
+    the worker that ran the cell.  Lines of the service process itself (a
+    cell degraded to in-process execution) fold into the scheduler lane —
+    they genuinely ran there.
     """
     owner = record.get("owner")
     if owner:

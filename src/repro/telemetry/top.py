@@ -3,7 +3,7 @@
 Everything the dashboard shows already lives under the shared cache
 root — the job store's journals, the sweep manifests, the fabric's lease
 files and worker beacons — so the view needs no live service: it folds
-the same durable state any scheduler replica or fabric worker would
+the same durable state any scheduler replica or fabric drain would
 replay, which means it works mid-outage, exactly when an operator wants
 it.
 

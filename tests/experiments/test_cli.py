@@ -426,7 +426,9 @@ class TestSupervisedRun:
             ["run", "gzip", "oracle", "--refs", "1200", "--supervise"]
         ) == 0
         capsys.readouterr()
-        assert main(["run", "gzip", "oracle", "--refs", "1200", "--resume"]) == 0
+        assert main(
+            ["run", "gzip", "oracle", "--refs", "1200", "--supervise"]
+        ) == 0
         assert "cells_resumed=1" in capsys.readouterr().out
 
     def test_figure_accepts_supervise(self, capsys):
@@ -539,9 +541,9 @@ class TestParser:
 
     def test_engine_flags_include_supervision(self):
         args = build_parser().parse_args(
-            ["run", "gzip", "oracle", "--resume", "--cell-timeout", "30"]
+            ["run", "gzip", "oracle", "--supervise", "--cell-timeout", "30"]
         )
-        assert args.resume and args.cell_timeout == 30.0
+        assert args.supervise and args.cell_timeout == 30.0
         args = build_parser().parse_args(["figure", "figure9", "--supervise"])
         assert args.supervise
 

@@ -9,9 +9,8 @@ from repro.experiments.parallel import (
     default_jobs,
     parallel_map,
     resolve_jobs,
-    run_benchmark_parallel,
+    run_benchmark_cells_parallel,
     run_seeds,
-    shared_pool,
     shutdown_pool,
     warm_pool,
 )
@@ -98,13 +97,6 @@ class TestSharedPool:
         shutdown_pool()  # no-op without a pool
         # The next use transparently restarts a pool.
         assert parallel_map(str, [1, 2], jobs=2) == ["1", "2"]
-
-    def test_shared_pool_scopes_a_warm_pool(self):
-        with shared_pool(2) as pool:
-            assert parallel_module._POOL is pool
-            assert parallel_map(str, [1, 2, 3], jobs=2) == ["1", "2", "3"]
-        # The pool is the process-wide one; it persists past the block.
-        assert parallel_module._POOL is pool
 
 
 class TestGridEquivalence:
@@ -205,7 +197,7 @@ class TestFailureIsolation:
             run_grid(["gzip"], [BOGUS], references=REFS, jobs=2)
 
     def test_run_benchmark_parallel_keep_going(self):
-        results, failures = run_benchmark_parallel(
+        cells, failures = run_benchmark_cells_parallel(
             "gzip",
             ["oracle", BOGUS],
             references=REFS,
@@ -213,7 +205,7 @@ class TestFailureIsolation:
             retries=0,
             jobs=2,
         )
-        assert "oracle" in results
+        assert "oracle" in cells
         assert len(failures) == 1
         assert isinstance(failures[0], RunFailure)
 

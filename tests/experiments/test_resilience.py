@@ -7,8 +7,8 @@ from repro.experiments.config import TABLE1_256K
 from repro.experiments.runner import (
     RunFailure,
     SchemeSpec,
-    run_benchmark_resilient,
-    run_scheme_isolated,
+    run_benchmark_cells,
+    run_cell_isolated,
 )
 from repro.experiments.sweep import run_grid
 
@@ -19,13 +19,15 @@ BROKEN = SchemeSpec("broken", predictor="no_such_kind")
 
 
 class TestRunSchemeIsolated:
+    """One scheme run behind :func:`run_cell_isolated`'s boundary."""
+
     def test_success_returns_metrics(self):
-        metrics = run_scheme_isolated("gzip", "baseline", references=REFS)
-        assert not isinstance(metrics, RunFailure)
-        assert metrics.ipc > 0
+        cell = run_cell_isolated("gzip", "baseline", references=REFS)
+        assert not isinstance(cell, RunFailure)
+        assert cell.metrics.ipc > 0
 
     def test_failure_is_captured_with_attempts(self):
-        outcome = run_scheme_isolated("gzip", BROKEN, references=REFS, retries=1)
+        outcome = run_cell_isolated("gzip", BROKEN, references=REFS, retries=1)
         assert isinstance(outcome, RunFailure)
         assert outcome.scheme == "broken"
         assert outcome.error_type == "ValueError"
@@ -46,8 +48,8 @@ class TestRunSchemeIsolated:
             return real(benchmark, scheme, machine, references, seed, use_cache)
 
         monkeypatch.setattr(runner, "run_cell", flaky)
-        metrics = run_scheme_isolated("gzip", "baseline", references=REFS)
-        assert not isinstance(metrics, RunFailure)
+        cell = run_cell_isolated("gzip", "baseline", references=REFS)
+        assert not isinstance(cell, RunFailure)
         assert calls["n"] == 2
 
     def test_keyboard_interrupt_propagates(self, monkeypatch):
@@ -56,23 +58,25 @@ class TestRunSchemeIsolated:
 
         monkeypatch.setattr(runner, "run_cell", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            run_scheme_isolated("gzip", "baseline", references=REFS)
+            run_cell_isolated("gzip", "baseline", references=REFS)
 
 
 class TestRunBenchmarkResilient:
+    """A benchmark's schemes under ``run_benchmark_cells(keep_going=True)``."""
+
     def test_partial_results_survive_a_bad_scheme(self):
-        results, failures = run_benchmark_resilient(
-            "gzip", ["baseline", BROKEN], references=REFS
+        cells, failures = run_benchmark_cells(
+            "gzip", ["baseline", BROKEN], references=REFS, keep_going=True
         )
-        assert "baseline" in results
+        assert "baseline" in cells
         assert len(failures) == 1
         assert failures[0].scheme == "broken"
 
     def test_all_good_means_no_failures(self):
-        results, failures = run_benchmark_resilient(
-            "gzip", ["oracle", "baseline"], references=REFS
+        cells, failures = run_benchmark_cells(
+            "gzip", ["oracle", "baseline"], references=REFS, keep_going=True
         )
-        assert set(results) == {"oracle", "baseline"}
+        assert set(cells) == {"oracle", "baseline"}
         assert failures == []
 
 

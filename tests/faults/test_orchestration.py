@@ -1,4 +1,4 @@
-"""Orchestration chaos: seeded injectors and the sweep soak."""
+"""Orchestration chaos: seeded injectors and the sweep and fabric soaks."""
 
 import pytest
 
@@ -188,3 +188,31 @@ class TestFabricSoak:
         for phase in ("serial", "duo", "chaos", "takeover"):
             assert (soak_cache / phase).is_dir()
         assert list((soak_cache / "chaos" / "leases").glob("*/stores.jsonl"))
+
+    def test_takeover_waits_for_a_late_forked_host(self, tmp_path, monkeypatch):
+        # Hold the forked host "t1" back 1.5 s before it drains: the
+        # in-process "t0" must still wait for t1's claim instead of
+        # draining both cells alone, so the takeover phase still sees t1
+        # die holding a lease and t0 take it over.
+        import time
+
+        from repro.faults import orchestration
+
+        drain_host = orchestration._drain_host
+
+        def late_host(spec_payload, owner, *args):
+            if owner == "t1":
+                time.sleep(1.5)
+            drain_host(spec_payload, owner, *args)
+
+        monkeypatch.setattr(orchestration, "_drain_host", late_host)
+        report = orchestration.run_fabric_soak(
+            benchmarks=("gzip",),
+            schemes=("oracle", "pred_regular"),
+            references=900,
+            ttl_seconds=1.5,
+            cache_dir=str(tmp_path / "fabric-cache"),
+        )
+        assert report["takeover"]["takeovers"] >= 1
+        assert report["takeover"]["kill_exit_seen"]
+        assert report["ok"]

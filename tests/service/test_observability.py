@@ -1,10 +1,10 @@
 """The observability plane end to end: probes, metrics, traces, top.
 
-The acceptance test for the fleet observability PR: a job submitted
-through the HTTP service and executed by the lease fabric (in-process
-worker 0 plus forked drain peers) must yield a valid fleet trace whose
-spans come from at least three distinct OS processes, and ``/metrics``
-must stay lintable with monotone counters across scrapes.
+The acceptance test for the fleet observability plane: a job submitted
+through the HTTP service, whose supervisor forks one worker process per
+cell, must yield a valid fleet trace whose spans come from at least
+three distinct OS processes, and ``/metrics`` must stay lintable with
+monotone counters across scrapes.
 """
 
 import json
@@ -14,6 +14,7 @@ import pytest
 
 from repro.cli import main
 from repro.experiments.cache import default_cache
+from repro.experiments.supervisor import manifest_path
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.queue import JobStore
 from repro.service.scheduler import SchedulerPolicy, ServiceScheduler
@@ -25,26 +26,6 @@ from repro.telemetry.top import fleet_snapshot, render_top, watch
 _REFS = 800
 _BENCHMARKS = ["stream"]
 _SCHEMES = ["baseline", "pred_regular"]
-
-
-@pytest.fixture
-def fabric_service(tmp_path):
-    """A service whose jobs drain through a 3-wide fabric swarm."""
-    handle = serve_in_thread(
-        ServiceScheduler(
-            store=JobStore(tmp_path / "service"),
-            policy=SchedulerPolicy(
-                sample_interval_seconds=0.02,
-                poll_interval_seconds=0.01,
-                executor="fabric",
-                fabric_workers=3,
-            ),
-        )
-    )
-    try:
-        yield ServiceClient(handle.url), handle
-    finally:
-        handle.stop()
 
 
 @pytest.fixture
@@ -150,8 +131,8 @@ class TestMetricsEndpoint:
 
 
 class TestFleetTraceAcceptance:
-    def test_fabric_job_trace_spans_three_processes(self, fabric_service):
-        client, handle = fabric_service
+    def test_job_trace_spans_three_processes(self, service):
+        client, handle = service
         receipt = client.submit(
             "acme", _BENCHMARKS, _SCHEMES, references=_REFS, seed=1
         )
@@ -171,7 +152,8 @@ class TestFleetTraceAcceptance:
         assert {"server", "scheduler"} <= lanes
 
         # Records written by >= 3 distinct OS processes, all correlated
-        # by the job's trace context (journal spans + beacon pids).
+        # by the job's trace context: journal spans, and manifest lines
+        # that carry the pid of the worker that ran each cell.
         store = handle.server.scheduler.store
         record = store.job(job_id)
         pids = {
@@ -179,13 +161,11 @@ class TestFleetTraceAcceptance:
             for event in record.events
             if event.get("event") == "span" and isinstance(event.get("pid"), int)
         }
-        workers_dir = (
-            default_cache().root / "leases" / record.spec.sweep_key / "workers"
-        )
-        for path in workers_dir.glob("*.json"):
-            beacon = json.loads(path.read_text())
-            if isinstance(beacon.get("pid"), int):
-                pids.add(beacon["pid"])
+        manifest = manifest_path(default_cache().root, record.spec.sweep_key)
+        for line in manifest.read_text().splitlines()[1:]:
+            entry = json.loads(line)
+            if entry.get("trace", {}).get("job_id") == job_id:
+                pids.add(entry["pid"])
         assert len(pids) >= 3
 
         names = {

@@ -163,6 +163,21 @@ class TestExecutionAndAccounting:
         warm_bytes = scheduler.store.result_path(warm.job_id).read_bytes()
         assert warm_bytes == cold_bytes
 
+    def test_mixed_grid_counts_each_cached_cell_once(self, tmp_path):
+        scheduler = _scheduler(tmp_path)
+        warm = scheduler.submit(_spec(schemes=("baseline",)))
+        _run_until_terminal(scheduler, [warm["job_id"]])
+        disk = default_cache()
+        mixed = scheduler.submit(_spec(schemes=("baseline", "oracle")))
+        assert len(mixed["cached_keys"]) == 1
+        lookups = disk.stats.result_hits + disk.stats.result_misses
+        (record,) = _run_until_terminal(scheduler, [mixed["job_id"]])
+        assert record.detail["cache_hits"] == 1
+        assert record.detail["cells_computed"] == 1
+        # The executor's serving pass is the job's only lookup in this
+        # process: one per cell (the fresh cell's worker looks again).
+        assert disk.stats.result_hits + disk.stats.result_misses == lookups + 2
+
     def test_progress_samples_journalled_even_for_fast_jobs(self, tmp_path):
         scheduler = _scheduler(tmp_path)
         receipt = scheduler.submit(_spec())
