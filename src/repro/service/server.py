@@ -320,9 +320,9 @@ class ServiceServer:
         async def emit(source: str, events: list[dict]) -> None:
             for event in events:
                 record = dict(event)
-                # Manifest lines carry their own "source" (which fabric
-                # worker wrote them); keep it as "origin" so the feed tag
-                # is unambiguous.
+                # Manifest lines carry their own "source" (a worker or an
+                # in-process degraded run); keep it as "origin" so the
+                # feed tag is unambiguous.
                 if "source" in record:
                     record["origin"] = record.pop("source")
                 record["source"] = source

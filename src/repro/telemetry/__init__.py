@@ -23,8 +23,8 @@ instrument rack that makes those arguments checkable on any run:
 * :mod:`repro.telemetry.fleet` — cross-process job tracing: the
   :class:`~repro.telemetry.fleet.TraceContext` minted at job submission
   and carried (thread-local, then ``REPRO_TRACE`` handed to each forked
-  worker) into scheduler, supervisor and fabric workers, plus the fold of journal + manifest + beacons into
-  one Chrome trace (``repro trace --job``).
+  worker) into the scheduler, the supervisor and its cell workers, plus the fold of
+  journal + manifest + beacons into one Chrome trace (``repro trace --job``).
 * :mod:`repro.telemetry.prometheus` — Prometheus text exposition over the
   registry (``GET /metrics``) and the pure-python linter CI scrapes with.
 * :mod:`repro.telemetry.log` — structured (JSONL-capable) operational
