@@ -2,7 +2,7 @@
 
 A full-system reproduction of *"High Efficiency Counter Mode Security
 Architecture via Prediction and Precomputation"* (ISCA 2005): from-scratch
-crypto, cache/DRAM substrates, the secure memory controller with every
+AES, cache/DRAM substrates, the secure memory controller with every
 prediction scheme the paper evaluates, SPEC2000-like workload models, and a
 harness regenerating each table and figure.
 

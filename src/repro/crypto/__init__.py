@@ -1,10 +1,13 @@
 """Cryptographic substrate: AES, SHA-256, MACs, CTR mode, RNG, engine model.
 
-Everything in this package is implemented from scratch (no external crypto
-libraries).  The functional primitives (:class:`~repro.crypto.aes.AES`,
-:class:`~repro.crypto.ctr.CtrMode`, the MACs) encrypt real bytes; the
-:class:`~repro.crypto.engine.CryptoEngine` models *when* a pipelined hardware
-implementation would deliver those results.
+AES, CTR mode, CBC-MAC and the RNG are implemented from scratch (no external
+crypto libraries), because AES timing is what the paper models.  SHA-256
+and HMAC-SHA256, which only the integrity tree uses, come from the standard
+library's :mod:`hashlib` and :mod:`hmac`.  The functional primitives
+(:class:`~repro.crypto.aes.AES`, :class:`~repro.crypto.ctr.CtrMode`, the
+MACs) encrypt real bytes; the :class:`~repro.crypto.engine.CryptoEngine`
+models *when* a pipelined hardware implementation would deliver those
+results.
 """
 
 from repro.crypto.aes import AES, BLOCK_SIZE, KEY_SIZES, set_vectorized, vectorized_enabled
@@ -18,7 +21,7 @@ from repro.crypto.engine import (
 )
 from repro.crypto.mac import CbcMac, HmacSha256, constant_time_equal
 from repro.crypto.rng import HardwareRng
-from repro.crypto.sha256 import Sha256, sha256
+from repro.crypto.sha256 import sha256
 
 __all__ = [
     "AES",
@@ -38,6 +41,5 @@ __all__ = [
     "HmacSha256",
     "constant_time_equal",
     "HardwareRng",
-    "Sha256",
     "sha256",
 ]

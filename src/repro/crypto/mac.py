@@ -5,11 +5,13 @@ the paper); a MAC must be layered on top.  Two constructions are provided:
 
 * :class:`CbcMac` — AES-CBC-MAC with length prepending, matching the kind of
   block-cipher-based MAC a hardware crypto engine would share silicon with.
-* :class:`HmacSha256` — HMAC (FIPS 198) over the from-scratch SHA-256, used
-  by the hash-tree integrity substrate.
+* :class:`HmacSha256` — HMAC-SHA256 (FIPS 198) from the standard library's
+  :mod:`hmac`, used by the hash-tree integrity substrate.
 """
 
 from __future__ import annotations
+
+import hmac
 
 from repro.crypto.aes import AES, BLOCK_SIZE
 from repro.crypto.sha256 import sha256
@@ -19,12 +21,7 @@ __all__ = ["CbcMac", "HmacSha256", "constant_time_equal"]
 
 def constant_time_equal(a: bytes, b: bytes) -> bool:
     """Compare two byte strings without early exit on first mismatch."""
-    if len(a) != len(b):
-        return False
-    diff = 0
-    for x, y in zip(a, b):
-        diff |= x ^ y
-    return diff == 0
+    return hmac.compare_digest(a, b)
 
 
 class CbcMac:
@@ -55,20 +52,17 @@ class CbcMac:
 
 
 class HmacSha256:
-    """HMAC-SHA256 (FIPS 198) built on the from-scratch SHA-256."""
+    """HMAC-SHA256 (FIPS 198) under one fixed key."""
 
     _BLOCK = 64
 
     def __init__(self, key: bytes):
-        if len(key) > self._BLOCK:
-            key = sha256(key)
-        key = key.ljust(self._BLOCK, b"\x00")
-        self._inner = bytes(b ^ 0x36 for b in key)
-        self._outer = bytes(b ^ 0x5C for b in key)
+        # FIPS 198: a key longer than the hash's block is hashed first.
+        self._key = sha256(key) if len(key) > self._BLOCK else bytes(key)
 
     def tag(self, message: bytes) -> bytes:
         """Compute the 32-byte HMAC tag of ``message``."""
-        return sha256(self._outer + sha256(self._inner + message))
+        return hmac.digest(self._key, message, "sha256")
 
     def verify(self, message: bytes, tag: bytes) -> bool:
         """Constant-time check that ``tag`` authenticates ``message``."""

@@ -28,7 +28,6 @@ N-drain-under-chaos, byte-identical snapshots included (see
 
 from repro.fabric.coordinator import (
     SwarmSpec,
-    collect_sweep,
     drain_swarm,
     render_status,
     start_swarm,
@@ -45,6 +44,5 @@ __all__ = [
     "start_swarm",
     "swarm_status",
     "render_status",
-    "collect_sweep",
     "drain_swarm",
 ]

@@ -15,11 +15,11 @@ The coordinator owns the three verbs behind the ``repro swarm`` CLI:
 
 **Collection is a merge, not a gather.**  Finished cells live in the
 content-addressed result cache; a drain serves every cell whose entry
-verifies, and :func:`collect_sweep` reads them back by key without
-draining.  Snapshot merging is commutative and associative (locked by the
-telemetry suite), so the merged snapshot of a sweep drained by any number
-of hosts in any interleaving equals the serial run's — the property the
-fabric soak (``repro faults --layer fabric``) asserts byte-for-byte.
+verifies and returns the whole sweep.  Snapshot merging is commutative and
+associative (locked by the telemetry suite), so the merged snapshot of a
+sweep drained by any number of hosts in any interleaving equals the serial
+run's — the property the fabric soak (``repro faults --layer fabric``)
+asserts byte-for-byte.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ __all__ = [
     "start_swarm",
     "swarm_status",
     "render_status",
-    "collect_sweep",
     "drain_swarm",
 ]
 
@@ -269,40 +268,6 @@ def render_status(status: dict) -> str:
             )
     lines.append("complete" if status["complete"] else "in progress")
     return "\n".join(lines)
-
-
-# -- collection ----------------------------------------------------------------
-
-
-def collect_sweep(spec: SwarmSpec, strict: bool = True):
-    """Assemble the drained sweep from the shared cache.
-
-    Every cell is read back (and digest-verified) through the cache by
-    its content key, in the canonical grid order — merges of the
-    per-cell snapshots are commutative and associative, so this equals
-    the serial ``run_grid`` result no matter how many hosts drained the
-    manifest or in what interleaving.  With ``strict`` (default) a
-    missing or unverifiable cell raises; otherwise it is skipped (the
-    partial-progress view used by ``swarm status``-style tooling).
-    """
-    from repro.experiments.sweep import SweepResult
-
-    disk = result_cache.default_cache()
-    sweep = SweepResult(machine=spec.machine, references=spec.references)
-    missing = []
-    for benchmark, cell_spec, cell_key in spec.cells():
-        cell = verified_done_cell(disk, cell_key)
-        if cell is None:
-            missing.append(f"{benchmark}/{cell_spec.name}")
-            continue
-        sweep.results[(benchmark, cell_spec.name)] = cell.metrics
-        sweep.snapshots[(benchmark, cell_spec.name)] = cell.snapshot
-    if missing and strict:
-        raise RuntimeError(
-            f"swarm incomplete: {len(missing)} cell(s) not drained "
-            f"({', '.join(missing[:4])}{'...' if len(missing) > 4 else ''})"
-        )
-    return sweep
 
 
 # -- draining ------------------------------------------------------------------

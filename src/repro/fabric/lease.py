@@ -107,7 +107,7 @@ class LeaseStats:
     """What one manager's lease traffic looked like."""
 
     acquired: int = 0          # fresh O_EXCL claims won
-    contended: int = 0         # claims refused (someone else holds it)
+    contended: int = 0         # cells found held by a live peer (once each)
     taken_over: int = 0        # expired/released/torn leases claimed
     lost_races: int = 0        # takeover renames overwritten by a winner
     renewals: int = 0          # successful heartbeats
@@ -157,6 +157,7 @@ class LeaseManager:
         self.ttl_seconds = ttl_seconds
         self.clock = clock
         self.stats = LeaseStats()
+        self._contended: set[str] = set()
 
     # -- paths -----------------------------------------------------------------
 
@@ -269,7 +270,11 @@ class LeaseManager:
             if current.owner == self.owner:
                 return current  # already ours (idempotent re-claim)
             if not self.expired(current):
-                self.stats.contended += 1
+                # A drain polls a held cell until it frees up; count the
+                # cell, not the polls.
+                if key not in self._contended:
+                    self._contended.add(key)
+                    self.stats.contended += 1
                 return None
         # Expired, released, or torn: take over with a higher token, then
         # verify we actually won (os.replace is last-writer-wins).

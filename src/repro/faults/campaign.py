@@ -7,10 +7,12 @@ adversary can do, and does the controller survive it?*  For every
 controller with a :class:`~repro.secure.controller.RecoveryPolicy`, runs a
 seeded mixed fetch/write-back workload while the
 :class:`~repro.faults.injector.FaultInjector` fires, and attributes every
-detection, retry-recovery and quarantine to the fault that caused it.  Two
+detection, retry-recovery and quarantine to the fault that caused it.  Four
 deterministic demos complete the report: forced graceful degradation to the
-non-speculative path, and forced counter saturation showing page
-re-encryption with a clean pad-reuse audit.
+non-speculative path; forced counter saturation showing page re-encryption
+with a clean pad-reuse audit; a store after a counter rollback, which the
+tree catches and seals under a fresh counter; and a replay to before a
+line's first seal, which the following load and store both detect.
 
 Everything is seeded, so a campaign is a reproducible experiment, and
 :meth:`CampaignReport.to_dict` is stable machine-readable output for CI.
@@ -24,7 +26,7 @@ from repro.crypto.rng import HardwareRng
 from repro.experiments.parallel import parallel_map
 from repro.faults.injector import FaultInjector, FaultType
 from repro.secure.controller import RecoveryPolicy, SecureMemoryController
-from repro.secure.errors import FetchFailedError, SecureMemoryError
+from repro.secure.errors import FetchFailedError, IntegrityError, SecureMemoryError
 from repro.secure.predictors import RegularOtpPredictor
 from repro.secure.seqnum import PageSecurityTable
 
@@ -92,13 +94,15 @@ class CampaignCell:
 
 @dataclass
 class CampaignReport:
-    """Full campaign result: the matrix plus the two forced demos."""
+    """Full campaign result: the matrix plus the four forced demos."""
 
     seed: int
     operations: int
     cells: list[CampaignCell]
     degradation: dict
     overflow: dict
+    rollback: dict
+    replay: dict
 
     @property
     def all_detected(self) -> bool:
@@ -118,8 +122,24 @@ class CampaignReport:
 
     @property
     def pad_reuse_free(self) -> bool:
-        """Forced counter saturation completed with a clean pad audit."""
-        return bool(self.overflow.get("auditor_clean"))
+        """No demo reused a pad.
+
+        Forced counter saturation audits clean.  The store after a counter
+        rollback audits clean and seals under a fresh counter that reads
+        back.  After a replay to before a line's first seal, the load and
+        the store are both detected, and the store changes nothing.
+        """
+        rollback, replay = self.rollback, self.replay
+        return all((
+            self.overflow.get("auditor_clean"),
+            rollback.get("auditor_clean"),
+            rollback.get("fresh_counter"),
+            rollback.get("roundtrip_ok"),
+            replay.get("auditor_clean"),
+            replay.get("load_detected"),
+            replay.get("store_detected"),
+            replay.get("state_untouched"),
+        ))
 
     def to_dict(self) -> dict:
         return {
@@ -128,6 +148,8 @@ class CampaignReport:
             "cells": [cell.to_dict() for cell in self.cells],
             "degradation": dict(self.degradation),
             "overflow": dict(self.overflow),
+            "rollback": dict(self.rollback),
+            "replay": dict(self.replay),
             "all_detected": self.all_detected,
             "retry_recovery_demonstrated": self.retry_recovery_demonstrated,
             "degradation_demonstrated": self.degradation_demonstrated,
@@ -160,6 +182,18 @@ class CampaignReport:
             f"pages_reencrypted={self.overflow.get('pages_reencrypted')} "
             f"pad_reuse_clean={self.overflow.get('auditor_clean')} "
             f"roundtrip_ok={self.overflow.get('roundtrip_ok')}"
+        )
+        lines.append(
+            f"counter rollback: fresh_counter={self.rollback.get('fresh_counter')} "
+            f"pad_reuse_clean={self.rollback.get('auditor_clean')} "
+            f"roundtrip_ok={self.rollback.get('roundtrip_ok')}"
+        )
+        lines.append(
+            f"replay before first seal: "
+            f"load_detected={self.replay.get('load_detected')} "
+            f"store_detected={self.replay.get('store_detected')} "
+            f"state_untouched={self.replay.get('state_untouched')} "
+            f"pad_reuse_clean={self.replay.get('auditor_clean')}"
         )
         lines.append(
             f"verdict: all_detected={self.all_detected} "
@@ -258,7 +292,7 @@ class FaultCampaign:
     # -- the sweep ---------------------------------------------------------------
 
     def run(self, jobs: int | None = 1) -> CampaignReport:
-        """Run the full grid plus the degradation and overflow demos.
+        """Run the full grid plus the four forced demos.
 
         Each (fault type, rate) cell derives its own seeds from the master
         seed, so cells are independent; ``jobs`` fans them out across
@@ -278,6 +312,8 @@ class FaultCampaign:
             cells=cells,
             degradation=self._degradation_demo(),
             overflow=self._overflow_demo(),
+            rollback=self._rollback_demo(),
+            replay=self._replay_demo(),
         )
 
     def _run_cell(
@@ -377,15 +413,18 @@ class FaultCampaign:
             ),
         }
 
-    def _overflow_demo(self) -> dict:
-        """Force counter saturation; verify re-encryption, no pad reuse."""
-        table = PageSecurityTable(rng=HardwareRng(self.seed ^ 0x0F10))
-        controller = SecureMemoryController(
-            page_table=table,
+    def _demo_controller(self, salt: int) -> SecureMemoryController:
+        """A fresh tree-protected controller for one forced demo."""
+        return SecureMemoryController(
+            page_table=PageSecurityTable(rng=HardwareRng(self.seed ^ salt)),
             key=self.key,
             integrity=True,
             recovery=self.recovery,
         )
+
+    def _overflow_demo(self) -> dict:
+        """Force counter saturation; verify re-encryption, no pad reuse."""
+        controller = self._demo_controller(0x0F10)
         line_bytes = controller.address_map.line_bytes
         line = 0x40000
         page = controller.address_map.page_number(line)
@@ -410,6 +449,65 @@ class FaultCampaign:
             "auditor_clean": controller.auditor.clean,
             "seals": controller.auditor.seals,
             "roundtrip_ok": fetched.plaintext == new_plaintext,
+        }
+
+    def _rollback_demo(self) -> dict:
+        """Store after a counter rollback: sealed under a fresh counter."""
+        controller = self._demo_controller(0x0B0C)
+        line_bytes = controller.address_map.line_bytes
+        line = 0x40000
+        first, second, third = (self._pattern(line, v, line_bytes) for v in range(3))
+        clock = controller.writeback_line(0, line, first).completion_time
+        noted = controller.backing.read_seqnum(line)
+        clock = controller.writeback_line(clock, line, second).completion_time
+        used = {noted, controller.backing.read_seqnum(line)}
+        # The adversary puts the first store's counter back in RAM.
+        controller.backing.write_seqnum(line, noted)
+        result = controller.writeback_line(clock, line, third)
+        fetched = controller.fetch_line(result.completion_time + 1, line)
+        return {
+            "integrity_faults": controller.resilience.integrity_faults,
+            "rebased": result.rebased,
+            "fresh_counter": result.seqnum not in used,
+            "auditor_clean": controller.auditor.clean,
+            "roundtrip_ok": fetched.plaintext == third,
+        }
+
+    def _replay_demo(self) -> dict:
+        """Replay to before a line's first seal, then load and store it."""
+        controller = self._demo_controller(0x5EA1)
+        injector = FaultInjector(controller, seed=self.seed ^ 0x5EA1)
+        backing, tree = controller.backing, controller.integrity_tree
+        line_bytes = controller.address_map.line_bytes
+        line = 0x40000
+        injector.snapshot()
+        clock = controller.writeback_line(
+            0, line, self._pattern(line, 0, line_bytes)
+        ).completion_time
+        root = tree.root
+        # RAM forgets the line, and the tree nodes go back with it.
+        injector.inject_replay(line)
+        faults = controller.resilience.integrity_faults
+        try:
+            controller.fetch_line(clock, line)
+        except SecureMemoryError:
+            pass
+        load_detected = controller.resilience.integrity_faults > faults
+        try:
+            controller.writeback_line(clock, line, self._pattern(line, 1, line_bytes))
+            store_detected = False
+        except IntegrityError:
+            store_detected = True
+        return {
+            "integrity_faults": controller.resilience.integrity_faults,
+            "load_detected": load_detected,
+            "store_detected": store_detected,
+            "state_untouched": (
+                backing.read_seqnum(line) is None
+                and not backing.has_line(line)
+                and tree.root == root
+            ),
+            "auditor_clean": controller.auditor.clean,
         }
 
 

@@ -56,16 +56,17 @@ class TamperDetectedError(IntegrityError):
         super().__init__(message)
         self.line_address = line_address
         self.seqnum = seqnum
-        #: Tree level at which verification diverged (0 = leaf; flat MACs
-        #: always report 0).
+        #: Tree level at which verification diverged.  0 means the stored
+        #: path is authentic and only the line's own (counter, ciphertext)
+        #: disagree with its leaf; flat MACs always report 0.
         self.level = level
 
 
 class ReplayDetectedError(IntegrityError):
     """A *self-consistent* stale (ciphertext, counter, MAC) state was replayed.
 
-    The fetched triple agrees with the stored leaf — the adversary rolled
-    back every untrusted byte together — but the path no longer reaches the
+    The stored path hashes consistently from leaf to top — the adversary
+    rolled back every untrusted byte together — but no longer reaches the
     on-chip root.  Only a tree rooted in the protected domain can make this
     distinction; a flat MAC store accepts such a rollback silently.
     """

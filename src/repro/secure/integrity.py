@@ -9,12 +9,17 @@ substrate so the reproduced system is complete:
 * each cache line gets a MAC over ``(address, seqnum, ciphertext)``;
 * MACs are leaves of an arity-``k`` Merkle tree whose interior nodes live in
   *untrusted* memory, with only the root digest held on-chip;
-* fetch verification recomputes the leaf and walks to the root using the
-  stored (untrusted) siblings — any tampering with data, counters, MACs or
-  interior nodes diverges from the trusted root.
+* verification walks the stored (untrusted) path from the line's leaf to
+  the trusted root, then recomputes the leaf from the fetched data — any
+  tampering with data, counters, MACs or interior nodes diverges from the
+  trusted root.  A line RAM holds no data for must sit on the empty leaf,
+  so whether a line was ever sealed is the tree's call.
 
-Verification is functional-only; the paper's timing evaluation models
-encryption latency and treats integrity as an orthogonal cost.
+Node digests and the leaf MACs come from the standard library's SHA-256 and
+HMAC (through :func:`repro.crypto.sha256.sha256` and
+:class:`~repro.crypto.mac.HmacSha256`).  Verification is functional-only; the
+paper's timing evaluation models encryption latency and treats integrity as
+an orthogonal cost.
 """
 
 from __future__ import annotations
@@ -127,7 +132,11 @@ class IntegrityTree:
         """The on-chip (trusted) root digest."""
         return self._root
 
-    def _leaf_value(self, line_address: int, seqnum: int, ciphertext: bytes) -> bytes:
+    def _leaf_value(
+        self, line_address: int, seqnum: int, ciphertext: bytes | None
+    ) -> bytes:
+        if ciphertext is None:
+            return self._empty[0]
         message = (
             line_address.to_bytes(8, "big")
             + seqnum.to_bytes(8, "big")
@@ -155,28 +164,30 @@ class IntegrityTree:
             self.nodes[(level, index)] = self._parent_digest(level - 1, index)
         self._root = self.nodes[(self.levels, 0)]
 
-    def verify(self, line_address: int, seqnum: int, ciphertext: bytes) -> None:
-        """Fetch path: authenticate a line against the trusted root.
+    def verify(
+        self, line_address: int, seqnum: int, ciphertext: bytes | None
+    ) -> None:
+        """Authenticate what untrusted RAM holds for a line against the root.
 
-        Recomputes the leaf from the fetched (untrusted) data and hashes up
-        the path using stored (untrusted) siblings; raises a subclass of
-        :class:`IntegrityError` unless the result matches the on-chip root.
-        The failure mode is classified: a mismatch between the fetched data
-        and stored nodes is :class:`TamperDetectedError`; a path that is
-        internally consistent but no longer reaches the on-chip root means
-        every untrusted byte was rolled back together —
-        :class:`ReplayDetectedError`.
+        ``ciphertext`` is the line's data in RAM, or ``None`` when RAM holds
+        none: the leaf must then be the empty leaf of a line never sealed.
+        The stored path is authenticated first, hashing from the stored
+        leaf up through the stored (untrusted) siblings; then the leaf
+        recomputed from the fetched data must equal the stored one.  A
+        subclass of :class:`IntegrityError` is raised on failure:
+
+        * :class:`TamperDetectedError` at ``level`` >= 1 — a stored node
+          does not hash from its children;
+        * :class:`ReplayDetectedError` — the stored path is internally
+          consistent but no longer reaches the on-chip root: every
+          untrusted byte was rolled back together;
+        * :class:`TamperDetectedError` at ``level`` 0 — the stored path is
+          authentic, and only the line's own (counter, ciphertext) in RAM
+          disagree with its leaf.
         """
         self.verifications += 1
-        index = self.address_map.line_index(line_address)
-        digest = self._leaf_value(line_address, seqnum, ciphertext)
-        stored_leaf = self._node(0, index)
-        if digest != stored_leaf:
-            raise TamperDetectedError(
-                f"leaf MAC mismatch for line {line_address:#x} (seqnum {seqnum})",
-                line_address=line_address,
-                seqnum=seqnum,
-            )
+        leaf_index = index = self.address_map.line_index(line_address)
+        digest = self._node(0, index)
         for level in range(1, self.levels + 1):
             index >>= self._arity_bits
             digest = self._parent_digest(level - 1, index)
@@ -194,6 +205,12 @@ class IntegrityTree:
                 line_address=line_address,
                 seqnum=seqnum,
                 level=self.levels,
+            )
+        if self._leaf_value(line_address, seqnum, ciphertext) != self._node(0, leaf_index):
+            raise TamperDetectedError(
+                f"leaf MAC mismatch for line {line_address:#x} (seqnum {seqnum})",
+                line_address=line_address,
+                seqnum=seqnum,
             )
 
     def tamper_node(self, level: int, index: int, new_digest: bytes) -> None:

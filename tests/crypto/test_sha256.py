@@ -1,11 +1,11 @@
-"""SHA-256: NIST vectors, incremental interface, and an hashlib oracle."""
+"""SHA-256: FIPS 180-4 vectors, padding boundaries, and an hashlib oracle."""
 
 import hashlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.sha256 import Sha256, sha256
+from repro.crypto.sha256 import sha256
 
 
 class TestVectors:
@@ -36,43 +36,11 @@ class TestVectors:
         )
 
 
-class TestIncremental:
-    def test_update_returns_self(self):
-        h = Sha256()
-        assert h.update(b"ab") is h
-
-    def test_split_updates_match_one_shot(self):
-        message = bytes(range(200))
-        h = Sha256()
-        h.update(message[:63]).update(message[63:64]).update(message[64:])
-        assert h.digest() == sha256(message)
-
-    def test_digest_is_idempotent(self):
-        h = Sha256(b"hello")
-        first = h.digest()
-        assert h.digest() == first
-        h.update(b" world")
-        assert h.digest() == sha256(b"hello world")
-
-    def test_hexdigest(self):
-        assert Sha256(b"abc").hexdigest() == sha256(b"abc").hex()
-
-
 class TestAgainstHashlib:
     @given(data=st.binary(max_size=512))
     @settings(max_examples=60, deadline=None)
     def test_matches_hashlib(self, data):
         assert sha256(data) == hashlib.sha256(data).digest()
-
-    @given(chunks=st.lists(st.binary(max_size=100), max_size=8))
-    @settings(max_examples=40, deadline=None)
-    def test_incremental_matches_hashlib(self, chunks):
-        ours = Sha256()
-        reference = hashlib.sha256()
-        for chunk in chunks:
-            ours.update(chunk)
-            reference.update(chunk)
-        assert ours.digest() == reference.digest()
 
     @pytest.mark.parametrize("length", [0, 1, 55, 56, 57, 63, 64, 65, 127, 128, 129])
     def test_padding_boundaries(self, length):

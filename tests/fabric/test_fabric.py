@@ -13,6 +13,7 @@ from repro.experiments.supervisor import (
     SupervisorPolicy,
     manifest_path,
     run_grid_supervised,
+    verified_done_cell,
 )
 from repro.experiments.sweep import run_grid
 from repro.faults.orchestration import (
@@ -24,7 +25,6 @@ from repro.faults.orchestration import (
 from repro.fabric import (
     LeaseManager,
     SwarmSpec,
-    collect_sweep,
     drain_swarm,
     render_status,
     start_swarm,
@@ -52,11 +52,6 @@ def _metrics(sweep) -> dict:
         f"{benchmark}/{scheme}": dataclasses.asdict(metrics)
         for (benchmark, scheme), metrics in sweep.results.items()
     }
-
-
-def _merged(sweep) -> str:
-    merged = sweep.merged_snapshot()
-    return json.dumps(merged.values if merged else {}, sort_keys=True)
 
 
 def _serial():
@@ -134,11 +129,7 @@ class TestSingleWorkerDrain:
         assert stats["cells_completed"] == 2
         assert stats["stores"] == 2
         assert stats["cells_fenced_out"] == 0
-        serial = _serial()
-        assert sweep.canonical_json() == serial.canonical_json()
-        collected = collect_sweep(SPEC)
-        assert _metrics(collected) == _metrics(serial)
-        assert _merged(collected) == _merged(serial)
+        assert sweep.canonical_json() == _serial().canonical_json()
 
     def test_second_drain_skips_verified_done(self):
         _drain("solo:1")
@@ -157,7 +148,7 @@ class TestSingleWorkerDrain:
         disk._result_path(victim_key).unlink()
         stats = _drain("solo:2").supervision
         assert stats["cells_completed"] == 1
-        assert collect_sweep(SPEC).results  # victim is back
+        assert verified_done_cell(disk, victim_key) is not None  # victim is back
 
     def test_lease_dir_unavailable_raises(self):
         disk = result_cache.default_cache()
@@ -250,13 +241,6 @@ class TestCoordinator:
         status = swarm_status(SPEC)
         assert status["counts"]["stale"] == 1
         assert not status["complete"]
-
-    def test_collect_strict_raises_on_missing_cells(self):
-        start_swarm(SPEC)
-        with pytest.raises(RuntimeError, match="swarm incomplete"):
-            collect_sweep(SPEC)
-        partial = collect_sweep(SPEC, strict=False)
-        assert partial.results == {}
 
     def test_status_top_and_fleet_trace_read_the_drain_beacon(self, tmp_path):
         store = JobStore(tmp_path / "service")

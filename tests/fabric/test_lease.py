@@ -47,6 +47,17 @@ class TestClaim:
         assert other.try_acquire(KEY) is None
         assert other.stats.contended == 1
 
+    def test_contended_counts_cells_not_polls(self, tmp_path, clock):
+        holder = manager(tmp_path, clock, "a:1")
+        holder.try_acquire(KEY)
+        other = manager(tmp_path, clock, "b:2")
+        assert other.try_acquire(KEY) is None
+        assert other.try_acquire(KEY) is None
+        assert other.stats.contended == 1
+        holder.try_acquire(KEY2)
+        assert other.try_acquire(KEY2) is None
+        assert other.stats.contended == 2
+
     def test_reclaim_by_owner_is_idempotent(self, tmp_path, clock):
         mgr = manager(tmp_path, clock, "a:1")
         first = mgr.try_acquire(KEY)

@@ -1,5 +1,6 @@
 """FaultCampaign: the detection/recovery matrix and its acceptance bars."""
 
+import dataclasses
 import json
 
 import pytest
@@ -34,6 +35,33 @@ class TestSmokeCampaign:
         assert report.overflow["pages_reencrypted"] >= 1
         assert report.overflow["roundtrip_ok"]
 
+    def test_store_after_rollback_is_sealed_under_a_fresh_counter(self, report):
+        assert report.rollback["integrity_faults"] == 1
+        assert report.rollback["rebased"]
+        assert report.rollback["fresh_counter"]
+        assert report.rollback["auditor_clean"]
+        assert report.rollback["roundtrip_ok"]
+
+    def test_replay_before_first_seal_is_detected_by_load_and_store(self, report):
+        assert report.replay["load_detected"]
+        assert report.replay["store_detected"]
+        assert report.replay["state_untouched"]
+        assert report.replay["auditor_clean"]
+
+    @pytest.mark.parametrize(
+        "demo, key",
+        [
+            ("overflow", "auditor_clean"),
+            ("rollback", "fresh_counter"),
+            ("rollback", "roundtrip_ok"),
+            ("replay", "load_detected"),
+            ("replay", "store_detected"),
+        ],
+    )
+    def test_pad_reuse_free_needs_every_demo(self, report, demo, key):
+        broken = dataclasses.replace(report, **{demo: {**getattr(report, demo), key: False}})
+        assert not broken.pad_reuse_free
+
     def test_delay_has_no_detection_rate(self, report):
         for cell in report.cells:
             if cell.fault_type is FaultType.DELAY:
@@ -49,6 +77,8 @@ class TestSmokeCampaign:
         text = report.render()
         assert "verdict:" in text
         assert "all_detected=True" in text
+        assert "counter rollback: fresh_counter=True" in text
+        assert "replay before first seal: load_detected=True store_detected=True" in text
 
 
 class TestDeterminism:

@@ -1,19 +1,24 @@
 """Secure memory controller: timing paths, counters, functional crypto."""
 
+import contextlib
+
 import pytest
 
 from repro.crypto.engine import CryptoEngine
 from repro.crypto.rng import HardwareRng
+from repro.faults import FaultInjector
 from repro.memory.dram import Dram
 from repro.secure.controller import FetchClass, SecureMemoryController
-from repro.secure.integrity import IntegrityError
+from repro.secure.integrity import IntegrityError, ReplayDetectedError
 from repro.secure.predictors import (
     ContextOtpPredictor,
     NullPredictor,
     RegularOtpPredictor,
+    TwoLevelOtpPredictor,
 )
 from repro.secure.seqcache import SequenceNumberCache
 from repro.secure.seqnum import PageSecurityTable
+from repro.secure.threat import PadReuseError
 
 LINE = 0x1000
 
@@ -268,6 +273,108 @@ class TestFunctionalMode:
         controller.backing.write_seqnum(LINE, old_counter)
         with pytest.raises(IntegrityError):
             controller.fetch_line(1000, LINE)
+
+
+class TestVerifyBeforeWriteback:
+    """A write-back trusts no counter the tree has not vouched for."""
+
+    X, Y, Z = b"\x11" * 32, b"\x22" * 32, b"\x33" * 32
+
+    def _rolled_back(self, controller):
+        """Store x, note the counter, store y, write the counter back."""
+        controller.writeback_line(0, LINE, self.X)
+        noted = controller.backing.read_seqnum(LINE)
+        controller.writeback_line(100, LINE, self.Y)
+        used = {noted, controller.backing.read_seqnum(LINE)}
+        controller.backing.write_seqnum(LINE, noted)
+        return noted, used
+
+    def test_store_after_counter_rollback_seals_under_a_fresh_counter(self, key256):
+        controller = build_controller(key=key256, integrity=True)
+        _, used = self._rolled_back(controller)
+        result = controller.writeback_line(200, LINE, self.Z)
+        assert result.rebased
+        assert result.seqnum not in used
+        assert controller.backing.read_seqnum(LINE) == result.seqnum
+        assert controller.auditor.clean
+        assert controller.resilience.integrity_faults == 1
+        assert controller.fetch_line(300, LINE).plaintext == self.Z
+
+    def test_store_after_lost_line_data_seals_under_a_fresh_counter(self, key256):
+        # RAM drops a sealed line's data: its counter still reads as the
+        # page's mapping root, which the first seal counted from.
+        controller = build_controller(key=key256, integrity=True)
+        first = controller.writeback_line(0, LINE, self.X).seqnum
+        del controller.backing._data[LINE]
+        del controller.backing._seqnums[LINE]
+        with pytest.raises(IntegrityError):
+            controller.fetch_line(100, LINE)
+        result = controller.writeback_line(200, LINE, self.Y)
+        assert result.seqnum != first
+        assert controller.auditor.clean
+        assert controller.fetch_line(300, LINE).plaintext == self.Y
+
+    def test_replay_to_before_first_seal_is_detected(self, key256):
+        controller = build_controller(key=key256, integrity=True)
+        injector = FaultInjector(controller)
+        injector.snapshot()
+        controller.writeback_line(0, LINE, self.X)
+        root = controller.integrity_tree.root
+        injector.inject_replay(LINE)
+        # RAM holds nothing for the line, but the tree says it was sealed.
+        with pytest.raises(IntegrityError):
+            controller.fetch_line(100, LINE)
+        # The replayed tree does not reach the on-chip root, so the store
+        # is refused before any counter moves: no pad is reused.
+        with pytest.raises(ReplayDetectedError):
+            controller.writeback_line(200, LINE, self.Y)
+        assert controller.backing.read_seqnum(LINE) is None
+        assert not controller.backing.has_line(LINE)
+        assert controller.integrity_tree.root == root
+        assert controller.auditor.clean
+        injector.repair_all()
+        controller.writeback_line(300, LINE, self.Y)
+        assert controller.fetch_line(400, LINE).plaintext == self.Y
+        assert controller.auditor.clean
+
+    def test_store_after_whole_image_replay_keeps_other_lines_stale(self, key256):
+        # Rebuilding a path from replayed siblings would re-anchor the root
+        # on them and let every other line's stale value load silently.
+        other = LINE + 0x10000
+        controller = build_controller(key=key256, integrity=True)
+        injector = FaultInjector(controller)
+        controller.writeback_line(0, LINE, self.X)
+        controller.writeback_line(0, other, self.X)
+        injector.snapshot()
+        controller.writeback_line(100, LINE, self.Y)
+        controller.writeback_line(100, other, self.Y)
+        injector.inject_replay(LINE)
+        with contextlib.suppress(IntegrityError):
+            controller.writeback_line(200, LINE, self.Z)
+        with pytest.raises(IntegrityError):
+            controller.fetch_line(300, other)
+        assert controller.auditor.clean
+
+    def test_without_a_tree_pad_reuse_raises_before_any_state_moves(self, key256):
+        controller = build_controller(
+            key=key256,
+            seqcache=SequenceNumberCache(4096),
+            predictor_factory=lambda t: TwoLevelOtpPredictor(t),
+        )
+        noted, _ = self._rolled_back(controller)
+        ciphertext = controller.backing.read_line(LINE)
+        seqcache_stats = dict(vars(controller.seqcache.stats))
+        observed = []
+        controller.predictor.observe_writeback = (
+            lambda *args: observed.append(args)
+        )
+        with pytest.raises(PadReuseError):
+            controller.writeback_line(200, LINE, self.Z)
+        assert controller.backing.read_seqnum(LINE) == noted
+        assert controller.backing.read_line(LINE) == ciphertext
+        assert dict(vars(controller.seqcache.stats)) == seqcache_stats
+        assert observed == []
+        assert controller.stats.writebacks == 2
 
 
 class TestStats:
